@@ -175,6 +175,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		if opt.Labels == LabelMove {
 			ws.moveLabels(n) // line 14: map super-vertices to move labels
 			haveInit = true
+			ws.phiNext = next
 		} else {
 			haveInit = false
 		}

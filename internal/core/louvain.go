@@ -115,6 +115,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 				Refined: comm, Communities: nComms, Aggregated: next,
 			})
 		}
+		ws.phiNext = next // its singletons are this pass's move partition
 		cur = next
 		tau /= opt.ToleranceDrop
 		ws.endPass("louvain", pass, &ps, psp)

@@ -30,6 +30,23 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 	} else {
 		ws.flags.SetAll(ws.opt.Pool, true, threads) // mark all vertices unprocessed
 	}
+	// Asynchronous threads decide against community totals and
+	// memberships that other threads are changing, so the sum of their
+	// decision-time gains can overstate what actually lands. With more
+	// than one thread the phase therefore reports its realized gain, the
+	// quality difference across the phase; a single thread's estimates
+	// are exact and cost nothing.
+	realized := threads > 1
+	var q0 float64
+	if realized {
+		if ws.phiNext == g {
+			q0 = ws.phi // the previous pass measured this partition
+		} else {
+			q0 = ws.partitionQuality(g, comm)
+		}
+	}
+	ws.phiNext = nil
+	dq0 := ps.DeltaQ
 	iters := 0
 	for it := 0; it < ws.opt.MaxIterations; it++ {
 		ws.zeroDQ()
@@ -76,7 +93,57 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 			break
 		}
 	}
+	if realized {
+		ws.phi = ws.partitionQuality(g, comm)
+		ps.DeltaQ = dq0 + ws.phi - q0
+	}
 	return iters
+}
+
+// partitionQuality evaluates partition comm of g under the configured
+// objective, up to a constant that depends only on g:
+//
+//	modularity: Σ_c K_in(c)/2m − γ·Σ_c²/4m²
+//	CPM:        Σ_c [K_in(c) − γ·n_c²]/2m
+//
+// where K_in(c) is the arc weight inside c. These are the functions
+// whose differences ws.delta measures, so a phase's gain is the
+// difference of two calls. It reads ws.sigma and ws.csize, so it must
+// run between parallel regions, never inside one.
+func (ws *workspace) partitionQuality(g *graph.CSR, comm []uint32) float64 {
+	n := g.NumVertices()
+	cpm := ws.opt.Objective == ObjectiveCPM
+	// Both forms are [K_in − γ·Σ t_c²/div]/2m, with t_c = Σ_c, div = 2m
+	// for modularity and t_c = n_c, div = 1 for CPM.
+	div := 2 * ws.m
+	if cpm {
+		div = 1
+	}
+	ws.zeroDQ()
+	ws.opt.Pool.For(n, ws.opt.Threads, ws.opt.Grain, func(lo, hi, tid int) {
+		var in, sq float64
+		for i := lo; i < hi; i++ {
+			u := uint32(i)
+			c := commLoad(comm, u)
+			es, wts := g.Neighbors(u)
+			for k, e := range es {
+				if commLoad(comm, e) == c {
+					in += float64(wts[k])
+				}
+			}
+			// Community ids are vertex ids of this level, so community i's
+			// total is visited exactly once across the loop.
+			var t float64
+			if cpm {
+				t = ws.csize.Get(i)
+			} else {
+				t = ws.sigma.Get(i)
+			}
+			sq += t * t
+		}
+		ws.dq[tid].V += in - ws.opt.Resolution*sq/div
+	})
+	return ws.sumDQ() / (2 * ws.m)
 }
 
 // recordIteration folds one local-moving iteration's merged counters

@@ -12,7 +12,8 @@ import (
 // holds nothing but them, detected by Σ'[c] == K'[i]) may merge into a
 // neighbouring sub-community within their community bound C'_B. A
 // compare-and-swap on Σ'[c] claims the vertex, so two neighbours cannot
-// both leave and join each other. This splits internally-disconnected
+// both leave and join each other, and a join only lands in a
+// sub-community that is not empty (see joinLive). This splits internally-disconnected
 // communities from the local-moving phase and never creates new ones.
 //
 // Returns the number of vertices that changed sub-community.
@@ -48,7 +49,12 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 			}
 			// Claim the vertex: succeed only if still alone in c.
 			if ws.sigma.CAS(int(c), ki, 0) {
-				ws.sigma.Add(int(target), ki)
+				if !ws.joinLive(int(target), ki) {
+					// target's only member left after the scan: joining
+					// the emptied community would cut u off from it.
+					ws.sigma.Add(int(c), ki)
+					continue
+				}
 				si := ws.vsize[u]
 				ws.csize.Add(int(c), -si)
 				ws.csize.Add(int(target), si)
@@ -59,6 +65,25 @@ func (ws *workspace) refinePhase(g *graph.CSR) int64 {
 		ws.moved[tid].V += local
 	})
 	return ws.sumMoved()
+}
+
+// joinLive adds ki to the total of community c unless c is empty. A
+// sub-community empties only when its isolated founder claims itself
+// away (Σ'[c] CAS to 0), and from then on no vertex may join it: a
+// vertex that chose c while the founder was still there would otherwise
+// land in c without the neighbour it chose c for, and two such vertices
+// would form a disconnected sub-community. Non-isolated members never
+// leave, so a non-empty c still holds the neighbour that was scanned.
+func (ws *workspace) joinLive(c int, ki float64) bool {
+	for {
+		s := ws.sigma.Get(c)
+		if s == 0 {
+			return false
+		}
+		if ws.sigma.CAS(c, s, s+ki) {
+			return true
+		}
+	}
 }
 
 // scanBounded accumulates the edge weights from u towards each

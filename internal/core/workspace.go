@@ -71,6 +71,14 @@ type workspace struct {
 	cur        int   // arena index holding the *next* write target
 	stats      Stats // per-pass statistics collected by the driver
 
+	// Realized-gain carry of the asynchronous move phase: phi is the
+	// partitionQuality of the last move partition, and phiNext the
+	// aggregated graph whose next pass starts from that same partition
+	// (aggregation preserves the quality), so its phase needs no fresh
+	// start measurement. nil when no pass is pending; consumed on use.
+	phi     float64
+	phiNext *graph.CSR
+
 	// Dynamic (warm-start) state, consumed by pass 0 only.
 	warm     []uint32 // previous membership as representative labels; nil = cold start
 	frontier []uint32 // vertices to seed the pruning flags with; nil = all

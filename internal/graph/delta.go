@@ -23,10 +23,12 @@ import (
 //     (checkWeight, PR 4) would reject.
 //  5. Insertions grow the vertex set to cover new endpoints, even when
 //     the inserted edge itself is cancelled within the batch.
+//  6. Every endpoint must be below MaxVertices; a larger id fails the
+//     whole batch with a *VertexRangeError.
 //
-// EvaluateDelta implements rules 1-4 against an abstract current-weight
-// lookup; both appliers validate with it first and mutate only on
-// success.
+// EvaluateDelta implements rules 1-4 and 6 against an abstract
+// current-weight lookup; both appliers validate with it first and
+// mutate only on success.
 
 // PairKey encodes the unordered vertex pair {u, v} as a single map key.
 func PairKey(u, v uint32) uint64 {
@@ -39,6 +41,25 @@ func PairKey(u, v uint32) uint64 {
 // SplitPairKey decodes a PairKey back into its (min, max) endpoints.
 func SplitPairKey(k uint64) (u, v uint32) {
 	return uint32(k >> 32), uint32(k)
+}
+
+// VertexRangeError reports an edge endpoint at or above MaxVertices,
+// an id no graph of the 32-bit configuration can hold. Growing a graph
+// to cover it would wrap the vertex count or allocate gigabytes, so
+// every ingest path refuses it up front.
+type VertexRangeError struct{ U, V uint32 }
+
+func (e *VertexRangeError) Error() string {
+	return fmt.Sprintf("graph: edge {%d,%d}: vertex id exceeds MaxVertices-1 (%d)", e.U, e.V, MaxVertices-1)
+}
+
+// CheckVertexIDs returns a *VertexRangeError if u or v is at or above
+// MaxVertices, and nil otherwise.
+func CheckVertexIDs(u, v uint32) error {
+	if u >= MaxVertices || v >= MaxVertices {
+		return &VertexRangeError{U: u, V: v}
+	}
+	return nil
 }
 
 // DeltaState is the post-batch state of one touched unordered pair:
@@ -59,6 +80,9 @@ type DeltaState struct {
 func EvaluateDelta(weight func(u, v uint32) (float32, bool), insertions, deletions []Edge) (map[uint64]DeltaState, error) {
 	touched := make(map[uint64]DeltaState, len(insertions)+len(deletions))
 	for _, e := range deletions {
+		if err := CheckVertexIDs(e.U, e.V); err != nil {
+			return nil, err
+		}
 		k := PairKey(e.U, e.V)
 		if _, dup := touched[k]; dup {
 			return nil, fmt.Errorf("graph: duplicate deletion of edge {%d,%d}", e.U, e.V)
@@ -69,6 +93,9 @@ func EvaluateDelta(weight func(u, v uint32) (float32, bool), insertions, deletio
 		touched[k] = DeltaState{}
 	}
 	for _, e := range insertions {
+		if err := CheckVertexIDs(e.U, e.V); err != nil {
+			return nil, err
+		}
 		if err := checkWeight(float64(e.W)); err != nil {
 			return nil, fmt.Errorf("graph: insertion {%d,%d}: %w", e.U, e.V, err)
 		}
@@ -95,8 +122,8 @@ func EvaluateDelta(weight func(u, v uint32) (float32, bool), insertions, deletio
 // ApplyDelta returns a new graph with the given batch of edge updates
 // applied to g under the unified delta semantics above (the weight
 // field of a deletion is ignored). A batch that names a missing or
-// duplicate deletion, or carries a non-finite weight, returns an error
-// and no graph.
+// duplicate deletion, carries a non-finite weight, or names a vertex id
+// at or above MaxVertices returns an error and no graph.
 //
 // This is the snapshot-update primitive behind the dynamic Leiden
 // variants (core.LeidenDynamic): batch updates between runs, warm-start

@@ -33,6 +33,9 @@ package graph
 import (
 	"errors"
 	"fmt"
+
+	"gveleiden/internal/hashtable"
+	"gveleiden/internal/parallel"
 )
 
 // MaxVertices is the largest vertex count supported by the 32-bit id
@@ -168,9 +171,10 @@ func (g *CSR) Clone() *CSR {
 }
 
 // Validate checks structural invariants: monotone offsets, in-range
-// targets, and — for compact graphs — symmetry of the arc multiset
-// (every arc (i,j), i≠j, has a matching (j,i)). It returns a descriptive
-// error on the first violation.
+// targets, and — for compact graphs — symmetry of the weighted arc
+// multiset (the arcs (i,j), i≠j, weigh what the arcs (j,i) weigh, to
+// within 1e-3; see checkSymmetry). It returns a descriptive error on
+// the first violation.
 func (g *CSR) Validate() error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -206,38 +210,112 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// checkSymmetry verifies that the weighted arc multiset is symmetric.
+// checkSymmetry verifies that the weighted arc multiset is symmetric:
+// for every unordered pair {a, b}, a < b, the summed weight of the arcs
+// (a,b) minus that of the arcs (b,a) must lie within ±symmetryTol.
+// Self-loops are exempt; rows may be unsorted and repeat targets.
+//
+// The check runs on every serve swap (oracle.CheckCSR in the gate), so
+// it uses the move phase's tools instead of a map: a counting-sort
+// transpose lists, for each vertex a, the arcs (b,a) with b > a in
+// increasing b; then a parallel pass over the vertices adds a's
+// out-weights towards every b > a and subtracts those in-arcs in a
+// per-thread dense accumulator, and checks each touched entry. Each
+// pair is judged once, at its lower endpoint, and summed in the order a
+// sequential scan of the rows meets its arcs. Of several violating
+// pairs the lowest (a, b) is reported, whatever the schedule. Scratch
+// is the move phase's: O(T·N) for the accumulators, plus the transpose
+// of about half the arcs.
 func (g *CSR) checkSymmetry() error {
 	n := g.NumVertices()
-	// Net per-ordered-pair weight must match; compare i→j sums against
-	// j→i sums using a two-pass accumulation over sorted adjacency would
-	// need sorting, so instead compare total out-weight per unordered
-	// pair via a hash of (min,max) — O(M) with a map, acceptable for a
-	// validation routine (not on the hot path).
-	type pair struct{ a, b uint32 }
-	acc := make(map[pair]float64)
-	for i := 0; i < n; i++ {
-		es, ws := g.Neighbors(uint32(i))
-		for k, e := range es {
-			if uint32(i) == e {
-				continue
-			}
-			p := pair{uint32(i), e}
-			if p.a > p.b {
-				p.a, p.b = p.b, p.a
-				acc[p] -= float64(ws[k])
-			} else {
-				acc[p] += float64(ws[k])
+	off, edges, weights := g.Offsets, g.Edges, g.Weights
+	inOff := make([]uint32, n+1)
+	for u := 0; u < n; u++ {
+		for _, v := range edges[off[u]:off[u+1]] {
+			if v < uint32(u) {
+				inOff[v+1]++
 			}
 		}
 	}
-	//gvevet:ignore nodeterm error path only: which violating pair is named may vary, validity itself cannot
-	for p, v := range acc {
-		if v > 1e-3 || v < -1e-3 {
-			return fmt.Errorf("graph: asymmetric arcs between %d and %d (net %g)", p.a, p.b, v)
+	for v := 0; v < n; v++ {
+		inOff[v+1] += inOff[v]
+	}
+	in := make([]inArc, inOff[n])
+	// Place with inOff[v] as v's cursor, which leaves it at v's end, the
+	// start of v+1; shifting by one restores the offsets.
+	for u := 0; u < n; u++ {
+		lo, hi := off[u], off[u+1]
+		for k, v := range edges[lo:hi] {
+			if v < uint32(u) {
+				in[inOff[v]] = inArc{uint32(u), weights[lo+uint32(k)]}
+				inOff[v]++
+			}
 		}
+	}
+	copy(inOff[1:], inOff[:n])
+	inOff[0] = 0
+
+	const grain = 256
+	threads := parallel.DefaultThreads()
+	if n <= grain {
+		threads = 1
+	}
+	accs := hashtable.PerThread(n, threads)
+	worst := make([]asymmetry, threads)
+	parallel.Default().For(n, threads, grain, func(lo, hi, tid int) {
+		acc, w := accs[tid], &worst[tid]
+		for a := uint32(lo); a < uint32(hi); a++ {
+			s, e := off[a], off[a+1]
+			for k, b := range edges[s:e] {
+				if b > a {
+					acc.Add(b, float64(weights[s+uint32(k)]))
+				}
+			}
+			for _, x := range in[inOff[a]:inOff[a+1]] {
+				acc.Add(x.src, -float64(x.w))
+			}
+			for _, b := range acc.Keys() {
+				if net := acc.Get(b); net > symmetryTol || net < -symmetryTol {
+					w.note(a, b, net)
+				}
+			}
+			acc.Clear()
+		}
+	})
+	var first asymmetry
+	for _, w := range worst {
+		if w.found {
+			first.note(w.a, w.b, w.net)
+		}
+	}
+	if first.found {
+		return fmt.Errorf("graph: asymmetric arcs between %d and %d (net %g)", first.a, first.b, first.net)
 	}
 	return nil
+}
+
+// inArc is one transposed arc: its source and weight.
+type inArc struct {
+	src uint32
+	w   float32
+}
+
+// symmetryTol bounds the net weight of an unordered pair's two arc
+// directions that checkSymmetry accepts as float32 rounding.
+const symmetryTol = 1e-3
+
+// asymmetry is the lowest violating pair one worker has seen.
+type asymmetry struct {
+	a, b  uint32
+	net   float64
+	found bool
+}
+
+// note keeps (a, b) if it precedes the pair held so far.
+func (x *asymmetry) note(a, b uint32, net float64) {
+	if !x.found || a < x.a || (a == x.a && b < x.b) {
+		*x = asymmetry{a: a, b: b, net: net, found: true}
+	}
 }
 
 // DegreeStats returns the minimum, maximum and average degree.

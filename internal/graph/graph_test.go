@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -200,5 +201,26 @@ func TestNumUndirectedEdgesWithLoops(t *testing.T) {
 	g := b.Build()
 	if got := g.NumUndirectedEdges(); got != 3 {
 		t.Fatalf("|E| = %d, want 3 (loop counts once)", got)
+	}
+}
+
+// TestDeltaRejectsHugeVertexIDs: an endpoint at or above MaxVertices
+// fails the batch with a *VertexRangeError before any lookup or build
+// (the Builder would panic on it, and growing a graph to it would
+// wrap or exhaust memory).
+func TestDeltaRejectsHugeVertexIDs(t *testing.T) {
+	g := FromAdjacency([][]uint32{{1}, {0}})
+	for _, id := range []uint32{MaxVertices, 1<<32 - 1} {
+		for _, b := range []struct{ ins, del []Edge }{
+			{ins: []Edge{{U: 0, V: 1, W: 1}, {U: id, V: 0, W: 1}}},
+			{ins: []Edge{{U: 0, V: id, W: 1}}},
+			{del: []Edge{{U: id, V: 1}}},
+		} {
+			_, err := ApplyDelta(g, b.ins, b.del)
+			var vr *VertexRangeError
+			if !errors.As(err, &vr) {
+				t.Fatalf("id %d: error = %v, want *VertexRangeError", id, err)
+			}
+		}
 	}
 }

@@ -54,16 +54,22 @@ const (
 	NumHistogramBuckets = 2 + histSub*histOctaves
 )
 
-// histShard is one worker's counter block, padded so that consecutive
-// shards never share a cache line: (70 counts + 1 sum) × 8 B + 8 B pad
-// = 576 B = 9 cache lines exactly. All fields are accessed atomically —
-// writers add from any goroutine while a scrape reads concurrently.
+// histShard is one worker's counter block, sized so that consecutive
+// shards never share a cache line: (70 counts + sum + its compensation)
+// × 8 B = 576 B = 9 cache lines exactly. All fields are accessed
+// atomically — writers add from any goroutine while a scrape reads
+// concurrently.
 //
 //gvevet:padded
 type histShard struct {
 	counts  [NumHistogramBuckets]uint64
 	sumBits uint64 // math.Float64bits of the shard's value sum
-	_       [8]byte
+	// errBits accumulates the rounding error of every addition to
+	// sumBits (math.Float64bits), so sum + err carries the shard's total
+	// to well below one ulp of the sum. Which shard an observation lands
+	// in is random; without the compensation the merged Sum would depend
+	// on that draw whenever values of very different magnitude mix.
+	errBits uint64
 }
 
 // NewHistogram returns an empty histogram with one shard per available
@@ -102,8 +108,24 @@ func (h *Histogram) Observe(v float64) {
 	atomic.AddUint64(&s.counts[b], 1)
 	for {
 		old := atomic.LoadUint64(&s.sumBits)
-		nxt := math.Float64bits(math.Float64frombits(old) + v)
-		if atomic.CompareAndSwapUint64(&s.sumBits, old, nxt) {
+		a := math.Float64frombits(old)
+		sum := a + v
+		if atomic.CompareAndSwapUint64(&s.sumBits, old, math.Float64bits(sum)) {
+			// Knuth's TwoSum: the exact rounding error of a + v.
+			bv := sum - a
+			if e := (a - (sum - bv)) + (v - bv); e != 0 {
+				addFloatBits(&s.errBits, e)
+			}
+			return
+		}
+	}
+}
+
+// addFloatBits atomically adds v to the float64 stored as bits at p.
+func addFloatBits(p *uint64, v float64) {
+	for {
+		old := atomic.LoadUint64(p)
+		if atomic.CompareAndSwapUint64(p, old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
@@ -184,6 +206,16 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return snap
 	}
+	var sum, comp float64 // Neumaier-compensated sum of the shards' parts
+	add := func(x float64) {
+		t := sum + x
+		if math.Abs(sum) >= math.Abs(x) {
+			comp += (sum - t) + x
+		} else {
+			comp += (x - t) + sum
+		}
+		sum = t
+	}
 	for i := range h.shards {
 		s := &h.shards[i]
 		for b := 0; b < NumHistogramBuckets; b++ {
@@ -191,8 +223,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			snap.Counts[b] += c
 			snap.Count += c
 		}
-		snap.Sum += math.Float64frombits(atomic.LoadUint64(&s.sumBits))
+		add(math.Float64frombits(atomic.LoadUint64(&s.sumBits)))
+		add(math.Float64frombits(atomic.LoadUint64(&s.errBits)))
 	}
+	snap.Sum = sum + comp
 	return snap
 }
 

@@ -387,6 +387,37 @@ func TestServeInvalidDeltaIsNoOp(t *testing.T) {
 	waitVersion(t, c, 2)
 }
 
+// TestServeRejectsHostileVertexIDs posts insertions whose endpoints no
+// graph can hold. 4294967295 used to spin the stream graph's growth
+// loop forever and 1<<31 to allocate about 16 GiB; both must answer 400
+// as a no-op batch, and the server must keep serving and ingesting.
+func TestServeRejectsHostileVertexIDs(t *testing.T) {
+	_, c := startServer(t, testConfig())
+	for _, id := range []uint32{4294967295, 1 << 31} {
+		for _, e := range []EdgeUpdate{{U: id, V: 1, W: 1}, {U: 1, V: id, W: 1}} {
+			_, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 1, W: 1}, e}, nil)
+			if err == nil || !strings.Contains(err.Error(), "status 400") ||
+				!strings.Contains(err.Error(), "exceeds MaxVertices") {
+				t.Fatalf("endpoint %d: error = %v, want a 400 naming the id bound", id, err)
+			}
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PendingInsertions != 0 || st.Version != 1 {
+		t.Fatalf("rejected batches left pending state: %+v", st)
+	}
+	if _, err := c.ApplyDelta([]EdgeUpdate{{U: 0, V: 1999, W: 1}}, nil); err != nil {
+		t.Fatalf("valid batch after hostile ones: %v", err)
+	}
+	// The next snapshot has the original vertex set: nothing grew.
+	if st := waitVersion(t, c, 2); st.Vertices != 2000 {
+		t.Fatalf("vertex set grew to %d", st.Vertices)
+	}
+}
+
 // TestServeRequestLimits exercises the two ingest guards: an oversized
 // batch and an oversized body both answer 413 without mutating.
 func TestServeRequestLimits(t *testing.T) {

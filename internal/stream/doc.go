@@ -1,10 +1,12 @@
 // Package stream provides a mutable graph for evolving-network
 // workloads: an adjacency-map overlay supporting edge insertion,
-// deletion and weight updates in O(1) expected time, with an efficient
-// Snapshot that materializes the current state as the immutable CSR the
-// detection algorithms consume. It is the substrate under the dynamic
-// Leiden workflow (core.LeidenDynamic): batch mutations accumulate
-// here; Snapshot + the batch go to the detector.
+// deletion and weight updates in O(1) expected time, with a Snapshot
+// that materializes the current state as the immutable CSR the
+// detection algorithms consume. Snapshot patches the CSR it returned
+// last, refilling only the rows touched since, so its cost tracks the
+// delta plus one copy of the arc arrays. It is the substrate under the
+// dynamic Leiden workflow (core.LeidenDynamic): batch mutations
+// accumulate here; Snapshot + the batch go to the detector.
 //
 // Apply consumes a graph.Delta under the same whole-batch semantics as
 // graph.EvaluateDelta: the batch is validated first and a rejected

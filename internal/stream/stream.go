@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gveleiden/internal/graph"
 )
@@ -12,11 +13,17 @@ import (
 type Graph struct {
 	adj   []map[uint32]float32 // adj[u][v] = weight (symmetric; loops on u only)
 	edges int64                // undirected edge count (loops count once)
+
+	// Snapshot patches the CSR it returned last (nil after New and
+	// FromCSR) instead of rebuilding: touched[u] marks the rows changed
+	// since, and rows past last's end count as touched.
+	last    *graph.CSR
+	touched []bool
 }
 
 // New returns a mutable graph with n initial vertices.
 func New(n int) *Graph {
-	return &Graph{adj: make([]map[uint32]float32, n)}
+	return &Graph{adj: make([]map[uint32]float32, n), touched: make([]bool, n)}
 }
 
 // FromCSR returns a mutable copy of a CSR graph. CSR weights are finite
@@ -43,10 +50,12 @@ func (s *Graph) NumVertices() int { return len(s.adj) }
 // NumEdges returns the current undirected edge count.
 func (s *Graph) NumEdges() int64 { return s.edges }
 
-// ensure grows the vertex set to cover id v.
+// ensure grows the vertex set to cover id v. Callers bound v below
+// graph.MaxVertices, so the new length cannot wrap.
 func (s *Graph) ensure(v uint32) {
-	for uint32(len(s.adj)) <= v {
-		s.adj = append(s.adj, nil)
+	if n := int(v) + 1; n > len(s.adj) {
+		s.adj = append(s.adj, make([]map[uint32]float32, n-len(s.adj))...)
+		s.touched = append(s.touched, make([]bool, n-len(s.touched))...)
 	}
 }
 
@@ -68,7 +77,9 @@ func (s *Graph) Weight(u, v uint32) float32 {
 }
 
 // AddEdge inserts {u,v} with weight w, adding w to an existing edge.
-// Self-loops are allowed. New endpoints grow the vertex set.
+// Self-loops are allowed. New endpoints grow the vertex set; an
+// endpoint at or above graph.MaxVertices is rejected with a
+// *graph.VertexRangeError.
 //
 // Weights follow the unified delta semantics (graph.EvaluateDelta): a
 // non-finite w, or a summed weight that overflows float32, is rejected
@@ -78,6 +89,9 @@ func (s *Graph) Weight(u, v uint32) float32 {
 func (s *Graph) AddEdge(u, v uint32, w float32) error {
 	if math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
 		return fmt.Errorf("stream: edge {%d,%d}: non-finite weight %v", u, v, w)
+	}
+	if err := graph.CheckVertexIDs(u, v); err != nil {
+		return fmt.Errorf("stream: %w", err)
 	}
 	sum := s.Weight(u, v) + w
 	if math.IsInf(float64(sum), 0) {
@@ -96,6 +110,7 @@ func (s *Graph) AddEdge(u, v uint32, w float32) error {
 // setEdge stores {u,v} with exactly weight w (both directions), growing
 // nothing: callers ensure the vertex set first.
 func (s *Graph) setEdge(u, v uint32, w float32) {
+	s.touched[u], s.touched[v] = true, true
 	if s.adj[u] == nil {
 		s.adj[u] = make(map[uint32]float32, 4)
 	}
@@ -119,6 +134,7 @@ func (s *Graph) dropEdge(u, v uint32) {
 	if _, ok := s.adj[u][v]; !ok {
 		return
 	}
+	s.touched[u], s.touched[v] = true, true
 	delete(s.adj[u], v)
 	if u != v && int(v) < len(s.adj) && s.adj[v] != nil {
 		delete(s.adj[v], u)
@@ -181,16 +197,61 @@ func (s *Graph) Apply(insertions, deletions []graph.Edge) error {
 }
 
 // Snapshot materializes the current state as a compact CSR with sorted
-// adjacency — the input format of the detection algorithms.
+// adjacency — the input format of the detection algorithms — identical
+// to what a graph.Builder makes of the same edge set.
+//
+// It costs what the changes since the previous call cost, plus a copy:
+// the offsets are the prefix sum of the row lengths, rows untouched
+// since then are copied from the CSR it returned then, and only touched
+// rows are refilled from the maps and sorted. The first call after New
+// or FromCSR fills every row, so the CSR a Graph was copied from is
+// never aliased. The returned CSR must not be modified: the next call
+// reads it.
 func (s *Graph) Snapshot() *graph.CSR {
 	n := len(s.adj)
-	b := graph.NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v, w := range s.adj[u] {
-			if uint32(u) <= v {
-				b.AddEdge(uint32(u), v, w)
-			}
-		}
+	off := make([]uint32, n+1)
+	for u, row := range s.adj {
+		off[u+1] = off[u] + uint32(len(row))
 	}
-	return b.Build()
+	g := &graph.CSR{Offsets: off, Edges: make([]uint32, off[n]), Weights: make([]float32, off[n])}
+	prev, kept := s.last, 0
+	if prev != nil {
+		kept = prev.NumVertices()
+	}
+	for u := 0; u < n; {
+		if u >= kept || s.touched[u] {
+			s.fillRow(g, u)
+			u++
+			continue
+		}
+		// A run of untouched rows keeps its degrees, so it is one
+		// contiguous block in both CSRs.
+		v := u + 1
+		for v < kept && !s.touched[v] {
+			v++
+		}
+		lo, hi := prev.Offsets[u], prev.Offsets[v]
+		copy(g.Edges[off[u]:off[v]], prev.Edges[lo:hi])
+		copy(g.Weights[off[u]:off[v]], prev.Weights[lo:hi])
+		u = v
+	}
+	clear(s.touched)
+	s.last = g
+	return g
+}
+
+// fillRow writes row u of g, whose offsets are set, from adj[u].
+func (s *Graph) fillRow(g *graph.CSR, u int) {
+	lo, hi := g.Offsets[u], g.Offsets[u+1]
+	es, ws := g.Edges[lo:hi], g.Weights[lo:hi]
+	row := s.adj[u]
+	k := 0
+	for v := range row {
+		es[k] = v
+		k++
+	}
+	slices.Sort(es)
+	for k, v := range es {
+		ws[k] = row[v]
+	}
 }

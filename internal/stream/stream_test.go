@@ -75,32 +75,6 @@ func TestFromCSRRoundTrip(t *testing.T) {
 	}
 }
 
-// assertSameCSR fails unless a and b are bit-identical CSRs: same
-// vertex count and the same sorted adjacency with equal weights.
-func assertSameCSR(t *testing.T, a, b *graph.CSR) {
-	t.Helper()
-	if a.NumVertices() != b.NumVertices() {
-		t.Fatalf("vertex counts differ: %d vs %d", a.NumVertices(), b.NumVertices())
-	}
-	if a.NumArcs() != b.NumArcs() {
-		t.Fatalf("arc counts differ: %d vs %d", a.NumArcs(), b.NumArcs())
-	}
-	n := a.NumVertices()
-	for i := 0; i < n; i++ {
-		e1, w1 := a.Neighbors(uint32(i))
-		e2, w2 := b.Neighbors(uint32(i))
-		if len(e1) != len(e2) {
-			t.Fatalf("vertex %d: degree %d vs %d", i, len(e1), len(e2))
-		}
-		for k := range e1 {
-			if e1[k] != e2[k] || w1[k] != w2[k] {
-				t.Fatalf("vertex %d arc %d differs: (%d,%g) vs (%d,%g)",
-					i, k, e1[k], w1[k], e2[k], w2[k])
-			}
-		}
-	}
-}
-
 func TestApplyMatchesApplyDelta(t *testing.T) {
 	g, _ := gen.SocialNetwork(600, 10, 6, 0.3, 5)
 	ins, del := graph.RandomDelta(g, 40, 30, 9)
@@ -114,7 +88,7 @@ func TestApplyMatchesApplyDelta(t *testing.T) {
 	if err := s.Apply(ins, del); err != nil {
 		t.Fatal(err)
 	}
-	assertSameCSR(t, s.Snapshot(), viaRebuild)
+	assertBitIdentical(t, "stream vs ApplyDelta", s.Snapshot(), viaRebuild)
 }
 
 // TestApplyDifferentialRandomized is the unified-semantics oracle: on
@@ -177,10 +151,10 @@ func TestApplyDifferentialRandomized(t *testing.T) {
 		}
 		if errRebuild != nil {
 			// Rejected batch: the stream graph must be untouched.
-			assertSameCSR(t, s.Snapshot(), before)
+			assertBitIdentical(t, "after rejected batch", s.Snapshot(), before)
 			continue
 		}
-		assertSameCSR(t, s.Snapshot(), viaRebuild)
+		assertBitIdentical(t, "stream vs ApplyDelta", s.Snapshot(), viaRebuild)
 		if err := viaRebuild.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -218,7 +192,7 @@ func TestApplyFailedBatchIsNoOp(t *testing.T) {
 	if s.NumEdges() != edgesBefore {
 		t.Fatalf("NumEdges mutated: %d vs %d", s.NumEdges(), edgesBefore)
 	}
-	assertSameCSR(t, s.Snapshot(), before)
+	assertBitIdentical(t, "after rejected batch", s.Snapshot(), before)
 
 	// Duplicate deletions poison a batch the same way.
 	ins2, del2 := graph.RandomDelta(before, 5, 5, 13)
@@ -226,13 +200,13 @@ func TestApplyFailedBatchIsNoOp(t *testing.T) {
 	if err := s.Apply(ins2, del2); err == nil {
 		t.Fatal("batch with a duplicate deletion must be rejected")
 	}
-	assertSameCSR(t, s.Snapshot(), before)
+	assertBitIdentical(t, "after rejected batch", s.Snapshot(), before)
 
 	// A non-finite insertion weight poisons a batch too.
 	if err := s.Apply([]graph.Edge{{U: 1, V: 2, W: float32(math.NaN())}}, nil); err == nil {
 		t.Fatal("batch with a NaN insertion must be rejected")
 	}
-	assertSameCSR(t, s.Snapshot(), before)
+	assertBitIdentical(t, "after rejected batch", s.Snapshot(), before)
 
 	// The valid prefix of the poisoned batch still applies on its own.
 	if err := s.Apply(ins, del[:len(del)-1]); err != nil {
@@ -254,6 +228,14 @@ func TestAddEdgeWeightValidation(t *testing.T) {
 	}
 	if s.NumEdges() != 0 || s.NumVertices() != 2 {
 		t.Fatal("rejected AddEdge mutated the graph")
+	}
+
+	// An id no graph can hold is refused before the vertex set grows.
+	if err := s.AddEdge(0, 1<<32-1, 1); err == nil {
+		t.Fatal("AddEdge accepted vertex id 2^32-1")
+	}
+	if s.NumVertices() != 2 {
+		t.Fatal("rejected AddEdge grew the graph")
 	}
 
 	// Overflowing sum.
