@@ -102,15 +102,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.flightSize, "flight", observe.DefaultFlightSize, "flight-recorder capacity: last N run records kept for /debug/flight")
 	fs.BoolVar(&c.checkDis, "check-disconnected", true, "count internally-disconnected communities")
 	fs.BoolVar(&c.check, "check", false, "run the correctness oracle on this run (per-level and whole-run invariants); exit nonzero on any violation")
-	pprofAddr := fs.String("pprof", "", "deprecated alias for -serve (same endpoint set)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if *pprofAddr != "" {
-		if c.serveAddr == "" {
-			c.serveAddr = *pprofAddr
-		}
-		fmt.Fprintln(stderr, "gveleiden: -pprof is deprecated; use -serve (same endpoints plus /metrics)")
 	}
 	return c, nil
 }
@@ -197,7 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracer = observe.NewTracer()
 		tracer.SetOutput(f)
 	}
-	opt.Tracer = tracer
 
 	// Continuous telemetry: always on (the per-event cost is a few
 	// atomic adds), feeding the flight recorder, the -metrics export,
@@ -209,14 +201,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel.Default().SetRegionLatency(tel.Region())
 		defer parallel.Default().SetRegionLatency(nil)
 	}
-	var progress, slogObs observe.Observer
+	var progress core.Observer
 	if c.verbose {
-		progress = observe.NewProgress(stderr)
+		progress = core.ProgressObserver(stderr, false)
 	}
-	if logger != nil {
-		slogObs = observe.NewSlogObserver(logger)
-	}
-	opt.Observer = observe.Multi(progress, slogObs, tel)
+	opt.Observer = core.MultiObserver(core.TraceObserver(tracer), progress,
+		core.LogObserver(logger, false), core.TelemetryObserver(tel))
 
 	// Live state behind the -serve gather callback: the scrape reports
 	// the latest completed run alongside the cumulative telemetry.

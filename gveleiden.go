@@ -158,45 +158,61 @@ func LeidenDeterministic(g *Graph, opt Options) *Result {
 	return core.Leiden(g, opt)
 }
 
-// Observability. Set Options.Tracer and/or Options.Observer to watch a
-// run; both default to nil, which keeps every instrumentation site on a
-// no-op fast path.
+// Observability. Set Options.Observer to watch a run: it receives a
+// begin and an end event for the run and for each pass, phase and
+// local-moving iteration, plus a level snapshot after each aggregation.
+// It defaults to nil, which keeps every event site on a no-op fast
+// path. The observers below — tracing, progress lines, structured logs,
+// telemetry — chain with MultiObserver.
 
-// Tracer records phase/pass/iteration spans of a run and writes them as
-// Chrome trace-event JSON (chrome://tracing, Perfetto).
+// Observer receives every event of a run.
+type Observer = core.Observer
+
+// Event is one run, pass, phase or iteration boundary, or a level
+// snapshot; Kind says which. Pointer and slice fields alias live run
+// memory — read them during the callback, do not retain them. The
+// internal/oracle package builds its per-level invariant checks on the
+// LevelBuilt snapshot.
+type Event = core.Event
+
+// EventKind says which boundary an Event marks.
+type EventKind = core.EventKind
+
+// The event kinds.
+const (
+	RunBegin   = core.RunBegin
+	RunEnd     = core.RunEnd
+	PassBegin  = core.PassBegin
+	PassEnd    = core.PassEnd
+	PhaseBegin = core.PhaseBegin
+	PhaseEnd   = core.PhaseEnd
+	IterBegin  = core.IterBegin
+	IterEnd    = core.IterEnd
+	LevelBuilt = core.LevelBuilt
+)
+
+// IterStats counts one local-moving iteration's work (IterEnd events).
+type IterStats = core.IterStats
+
+// MultiObserver passes each event to several observers in order.
+func MultiObserver(obs ...Observer) Observer { return core.MultiObserver(obs...) }
+
+// Tracer records spans and writes them as Chrome trace-event JSON
+// (chrome://tracing, Perfetto).
 type Tracer = observe.Tracer
 
 // NewTracer returns a tracer whose timeline starts now.
 func NewTracer() *Tracer { return observe.NewTracer() }
 
-// Observer receives pass and iteration events during a run.
-type Observer = observe.Observer
+// TraceObserver records a run's pass, phase and iteration spans on t.
+// It serves one run at a time.
+func TraceObserver(t *Tracer) Observer { return core.TraceObserver(t) }
 
-// PassEvent describes one completed pass (super-vertex level).
-type PassEvent = observe.PassEvent
-
-// IterEvent describes one completed local-moving iteration.
-type IterEvent = observe.IterEvent
-
-// Progress is an Observer that streams one line per pass to a writer.
-type Progress = observe.Progress
-
-// NewProgress returns a Progress observer writing to w.
-func NewProgress(w io.Writer) *Progress { return observe.NewProgress(w) }
-
-// MultiObserver fans events out to several observers in order.
-func MultiObserver(obs ...Observer) Observer { return observe.Multi(obs...) }
-
-// LevelEvent describes one completed aggregating pass, delivered to
-// Options.Inspector: the level graph, its move and refined partitions,
-// and the freshly aggregated super-vertex graph. The slices and the
-// aggregated graph alias live workspace memory — read them during the
-// callback, do not retain them. The internal/oracle package builds its
-// per-level invariant checks on this hook.
-type LevelEvent = core.LevelEvent
-
-// LevelInspector receives a LevelEvent after each aggregating pass.
-type LevelInspector = core.LevelInspector
+// ProgressObserver streams one line per pass (and, with iterations
+// set, per local-moving iteration) to w.
+func ProgressObserver(w io.Writer, iterations bool) Observer {
+	return core.ProgressObserver(w, iterations)
+}
 
 // MetricSet is an ordered collection of metrics writable as Prometheus
 // text exposition format or JSON.
@@ -234,8 +250,8 @@ type HistogramSnapshot = observe.HistogramSnapshot
 
 // Telemetry aggregates runs continuously: per-phase duration
 // histograms, pass/run/ΔQ histograms, pool region latencies, lifetime
-// counters, and a flight recorder. It implements Observer — set it as
-// Options.Observer and it accumulates every pass of every run.
+// counters, and a flight recorder. Wire it in with TelemetryObserver and
+// it accumulates every pass of every run.
 type Telemetry = observe.Telemetry
 
 // NewTelemetry returns a telemetry aggregator whose flight recorder
@@ -277,12 +293,13 @@ func NewLogger(w io.Writer, format string, level slog.Level) *slog.Logger {
 	return observe.NewLogger(w, format, level)
 }
 
-// SlogObserver is an Observer emitting one structured log record per
-// pass — the structured-logging counterpart of Progress.
-type SlogObserver = observe.SlogObserver
+// TelemetryObserver feeds every pass and iteration of a run into t.
+func TelemetryObserver(t *Telemetry) Observer { return core.TelemetryObserver(t) }
 
-// NewSlogObserver returns an observer logging pass summaries to l.
-func NewSlogObserver(l *slog.Logger) *SlogObserver { return observe.NewSlogObserver(l) }
+// LogObserver emits one structured log record per pass (and, with
+// iterations set, per local-moving iteration) to l — the
+// structured-logging counterpart of ProgressObserver.
+func LogObserver(l *slog.Logger, iterations bool) Observer { return core.LogObserver(l, iterations) }
 
 // LogRun emits the standard run-summary record for a RunRecord.
 func LogRun(l *slog.Logger, r RunRecord) { observe.LogRun(l, r) }

@@ -11,9 +11,9 @@ import (
 )
 
 // TelemetryOverheadRecord quantifies the continuous-telemetry tax: the
-// same Leiden run with the Observer/Tracer nil fast paths versus the
-// full wiring (Telemetry observer, pool region-latency histogram,
-// flight recorder). OverheadPct is the fractional slowdown in percent;
+// same Leiden run with the nil-Observer fast path versus the full
+// wiring (Telemetry observer, pool region-latency histogram, flight
+// recorder). OverheadPct is the fractional slowdown in percent;
 // EXPERIMENTS.md tracks it staying within run-to-run noise.
 type TelemetryOverheadRecord struct {
 	Vertices      int     `json:"vertices"`
@@ -57,7 +57,7 @@ func TelemetryOverhead(n, repeats, threads int) TelemetryOverheadRecord {
 	tel := observe.NewTelemetry(observe.DefaultFlightSize)
 	pool.SetRegionLatency(tel.Region())
 	defer pool.SetRegionLatency(nil)
-	opt.Observer = tel
+	opt.Observer = core.TelemetryObserver(tel)
 	telemetered := best(func() {
 		res := core.Leiden(g, opt)
 		tel.RecordRun(observe.RunRecord{

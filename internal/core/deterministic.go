@@ -32,8 +32,7 @@ type mover struct {
 // movePhaseColored is the deterministic local-moving phase: iterations
 // sweep the color classes in order; each class runs a decision kernel
 // against frozen state, then an apply kernel. Like movePhase, it
-// accumulates work counters into ps and emits per-iteration trace
-// spans and observer events.
+// accumulates work counters into ps and emits per-iteration events.
 func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Coloring, pass int, ps *PassStats) int {
 	n := g.NumVertices()
 	threads, grain := ws.opt.Threads, ws.opt.Grain
@@ -53,7 +52,7 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 	for it := 0; it < ws.opt.MaxIterations; it++ {
 		ws.zeroMC()
 		realized := 0.0
-		sp := ws.opt.Tracer.Begin("move.iter", 0)
+		ws.emit(Event{Kind: IterBegin, Pass: pass, Iteration: it})
 		for cls := 0; cls < col.NumColors; cls++ {
 			class := col.Class(cls)
 			// Decision kernel: frozen comm/Σ (no same-class neighbour
@@ -191,7 +190,7 @@ func (ws *workspace) movePhaseColored(g *graph.CSR, tau float64, col *color.Colo
 			}
 		}
 		iters++
-		ws.recordIteration(pass, it, realized, ps, sp)
+		ws.recordIteration(pass, it, realized, ps)
 		if realized <= tau {
 			break
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"time"
 
 	"gveleiden/internal/graph"
 )
@@ -73,11 +72,6 @@ func LeidenDynamicHierarchy(g *graph.CSR, prev []uint32, delta Delta, mode Dynam
 }
 
 func runLeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode, opt Options, hierarchy bool) (*Result, *Hierarchy) {
-	opt = opt.normalize()
-	ws := newWorkspace(g, opt)
-	if hierarchy {
-		ws.hierarchy = &Hierarchy{}
-	}
 	n := g.NumVertices()
 
 	// Previous communities become warm-start labels. Labels must be
@@ -101,19 +95,11 @@ func runLeidenDynamic(g *graph.CSR, prev []uint32, delta Delta, mode DynamicMode
 	for i := bound; i < n; i++ {
 		warm[i] = uint32(i)
 	}
-	ws.warm = warm
-
+	var frontier []uint32
 	if mode == DynamicFrontier {
-		ws.frontier = frontierOf(warm, delta, bound, n)
+		frontier = frontierOf(warm, delta, bound, n)
 	}
-
-	start := now()
-	runLeiden(g, ws)
-	if opt.FinalRefine {
-		ws.finalRefine(g)
-		ws.splitConnected(g, ws.top)
-	}
-	return finishResult(g, ws, time.Since(start)), ws.hierarchy
+	return solve(g, opt, "leiden", hierarchy, warm, frontier)
 }
 
 // frontierOf applies the dynamic-frontier marking rule: an inserted

@@ -23,7 +23,7 @@ func (ws *workspace) finalRefine(g *graph.CSR) {
 	ps.Vertices = n
 	ps.Arcs = g.NumArcs()
 	pass := len(ws.stats.Passes)
-	psp := ws.beginPass("final-refine", pass, n, ps.Arcs)
+	ws.emit(Event{Kind: PassBegin, Algorithm: "final-refine", Pass: pass, Graph: g})
 	t0 := now()
 	opt := ws.opt
 	ws.vertexWeights(g, ws.k[:n])
@@ -53,14 +53,14 @@ func (ws *workspace) finalRefine(g *graph.CSR) {
 		tau /= opt.ToleranceDrop
 	}
 	t0 = now()
-	sp := opt.Tracer.Begin("move", 0)
+	ws.emit(Event{Kind: PhaseBegin, Pass: pass, Phase: "move"})
 	if coloring != nil {
 		ps.MoveIterations = ws.movePhaseColored(g, tau, coloring, pass, &ps)
 	} else {
 		ps.MoveIterations = ws.movePhase(g, tau, pass, &ps)
 	}
-	sp.End()
+	ws.emit(Event{Kind: PhaseEnd, Pass: pass, Phase: "move"})
 	ps.Move = time.Since(t0)
 	copy(ws.top, comm)
-	ws.endPass("final-refine", pass, &ps, psp)
+	ws.endPass("final-refine", pass, &ps)
 }

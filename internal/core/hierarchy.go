@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"gveleiden/internal/graph"
 )
@@ -60,16 +59,7 @@ func (h *Hierarchy) Flatten(depth int) ([]uint32, error) {
 // refinement sweeps — individual vertex moves cannot be expressed as a
 // dendrogram level over super-vertices.
 func LeidenHierarchy(g *graph.CSR, opt Options) (*Result, *Hierarchy) {
-	opt = opt.normalize()
-	ws := newWorkspace(g, opt)
-	ws.hierarchy = &Hierarchy{}
-	start := now()
-	runLeiden(g, ws)
-	if opt.FinalRefine {
-		ws.finalRefine(g)
-		ws.splitConnected(g, ws.top)
-	}
-	return finishResult(g, ws, time.Since(start)), ws.hierarchy
+	return solve(g, opt, "leiden", true, nil, nil)
 }
 
 // recordLevel appends one dendrogram level when hierarchy tracking is

@@ -5,7 +5,6 @@ import (
 
 	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
-	"gveleiden/internal/observe"
 	"gveleiden/internal/quality"
 )
 
@@ -22,25 +21,42 @@ import (
 // local-moving phase found, as recommended by Traag et al.; with
 // refine-based labels they start as singletons.
 func Leiden(g *graph.CSR, opt Options) *Result {
+	res, _ := solve(g, opt, "leiden", false, nil, nil)
+	return res
+}
+
+// solve is the run driver behind every entry point. It normalizes opt,
+// builds the workspace (recording the dendrogram when hierarchy is set,
+// warm-starting pass 0 from warm and seeding its pruning flags from
+// frontier when those are non-nil), runs the passes of alg ("leiden" or
+// "louvain") and the optional final refinement, and assembles the
+// Result, all between one RunBegin and RunEnd event.
+func solve(g *graph.CSR, opt Options, alg string, hierarchy bool, warm, frontier []uint32) (*Result, *Hierarchy) {
 	opt = opt.normalize()
 	ws := newWorkspace(g, opt)
-	run := observe.Span{}
-	if opt.Tracer != nil {
-		run = opt.Tracer.BeginArgs("leiden", 0, map[string]any{
-			"vertices": g.NumVertices(), "arcs": g.NumArcs(), "threads": opt.Threads,
-		})
+	if hierarchy {
+		ws.hierarchy = &Hierarchy{}
 	}
+	ws.warm, ws.frontier = warm, frontier
+	ws.emit(Event{Kind: RunBegin, Algorithm: alg, Graph: g, Threads: opt.Threads})
 	start := now()
-	runLeiden(g, ws)
+	if alg == "louvain" {
+		runLouvain(g, ws)
+	} else {
+		runLeiden(g, ws)
+	}
 	if opt.FinalRefine {
-		// Final refinement moves individual vertices and can disconnect a
-		// community the same way the move phase can; re-split afterwards.
 		ws.finalRefine(g)
-		ws.splitConnected(g, ws.top)
+		if alg == "leiden" {
+			// Final refinement moves individual vertices and can disconnect
+			// a community the same way the move phase can; re-split
+			// afterwards. Louvain makes no connectivity promise.
+			ws.splitConnected(g, ws.top)
+		}
 	}
 	res := finishResult(g, ws, time.Since(start))
-	run.End()
-	return res
+	ws.emit(Event{Kind: RunEnd, Algorithm: alg})
+	return res, ws.hierarchy
 }
 
 func runLeiden(g *graph.CSR, ws *workspace) {
@@ -59,7 +75,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		n := cur.NumVertices()
 		ps.Vertices = n
 		ps.Arcs = cur.NumArcs()
-		psp := ws.beginPass("leiden", pass, n, ps.Arcs)
+		ws.emit(Event{Kind: PassBegin, Algorithm: "leiden", Pass: pass, Graph: cur})
 
 		t0 := now()
 		k := ws.k[:n]
@@ -68,7 +84,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 			ws.m = opt.Pool.SumFloat64(k, opt.Threads) / 2
 			if ws.m == 0 {
 				// Edgeless graph: every vertex is its own community.
-				ws.endPass("leiden", pass, &ps, psp)
+				ws.endPass("leiden", pass, &ps)
 				return
 			}
 			opt.Pool.FillFloat64(ws.vsize[:n], 1, opt.Threads)
@@ -83,14 +99,14 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		}
 
 		t0 = now()
-		sp := opt.Tracer.Begin("move", 0)
+		ws.emit(Event{Kind: PhaseBegin, Pass: pass, Phase: "move"})
 		var li int
 		if coloring != nil {
 			li = ws.movePhaseColored(cur, tau, coloring, pass, &ps)
 		} else {
 			li = ws.movePhase(cur, tau, pass, &ps)
 		}
-		sp.End()
+		ws.emit(Event{Kind: PhaseEnd, Pass: pass, Phase: "move"})
 		ps.MoveIterations = li
 		ps.Move = time.Since(t0)
 
@@ -105,14 +121,14 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		ps.Other += time.Since(t0)
 
 		t0 = now()
-		sp = opt.Tracer.Begin("refine", 0)
+		ws.emit(Event{Kind: PhaseBegin, Pass: pass, Phase: "refine"})
 		var moves int64
 		if coloring != nil {
 			moves = ws.refinePhaseColored(cur, coloring)
 		} else {
 			moves = ws.refinePhase(cur)
 		}
-		sp.End()
+		ws.emit(Event{Kind: PhaseEnd, Pass: pass, Phase: "refine"})
 		ps.RefineMoves = moves
 		ps.Refine = time.Since(t0)
 
@@ -128,7 +144,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 			ws.recordLevel(ws.bounds[:n], false)
 			ws.lookupDendrogram(ws.bounds[:n])
 			ps.Other += time.Since(t0)
-			ws.endPass("leiden", pass, &ps, psp)
+			ws.endPass("leiden", pass, &ps)
 			return
 		}
 
@@ -147,7 +163,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 			ws.recordLevel(ws.bounds[:n], false)
 			ws.lookupDendrogram(ws.bounds[:n])
 			ps.Other += time.Since(t0)
-			ws.endPass("leiden", pass, &ps, psp)
+			ws.endPass("leiden", pass, &ps)
 			return
 		}
 		ws.recordLevel(comm, true)
@@ -155,21 +171,16 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		ps.Other += time.Since(t0)
 
 		t0 = now()
-		sp = opt.Tracer.Begin("aggregate", 0)
+		ws.emit(Event{Kind: PhaseBegin, Pass: pass, Phase: "aggregate"})
 		next, occ := ws.aggregate(cur, nComms)
 		ws.aggregateSizes(n, nComms)
-		sp.End()
+		ws.emit(Event{Kind: PhaseEnd, Pass: pass, Phase: "aggregate"})
 		ps.AggOccupancy = occ
 		ps.Aggregate = time.Since(t0)
-		if opt.Inspector != nil {
-			// Pass boundary: every phase's pool barriers are behind us, so
-			// the inspector reads a quiescent snapshot.
-			opt.Inspector(LevelEvent{
-				Algorithm: "leiden", Pass: pass, Graph: cur,
-				Move: ws.bounds[:n], Refined: comm,
-				Communities: nComms, Aggregated: next,
-			})
-		}
+		// Pass boundary: every phase's pool barriers are behind us, so
+		// observers read a quiescent snapshot.
+		ws.emit(Event{Kind: LevelBuilt, Algorithm: "leiden", Pass: pass, Graph: cur,
+			Move: ws.bounds[:n], Refined: comm, Communities: nComms, Aggregated: next})
 
 		t0 = now()
 		if opt.Labels == LabelMove {
@@ -182,7 +193,7 @@ func runLeiden(g *graph.CSR, ws *workspace) {
 		cur = next
 		tau /= opt.ToleranceDrop // line 15: threshold scaling
 		ps.Other += time.Since(t0)
-		ws.endPass("leiden", pass, &ps, psp)
+		ws.endPass("leiden", pass, &ps)
 	}
 	// MaxPasses exhausted after an aggregation: apply the pending
 	// move-based grouping of the last level (Algorithm 1 line 16 uses

@@ -5,7 +5,6 @@ import (
 
 	"gveleiden/internal/color"
 	"gveleiden/internal/graph"
-	"gveleiden/internal/observe"
 	"gveleiden/internal/quality"
 )
 
@@ -17,21 +16,7 @@ import (
 // algorithm [23]; it serves here as the ablation baseline that can
 // produce internally-disconnected communities (Figure 6d contrast).
 func Louvain(g *graph.CSR, opt Options) *Result {
-	opt = opt.normalize()
-	ws := newWorkspace(g, opt)
-	run := observe.Span{}
-	if opt.Tracer != nil {
-		run = opt.Tracer.BeginArgs("louvain", 0, map[string]any{
-			"vertices": g.NumVertices(), "arcs": g.NumArcs(), "threads": opt.Threads,
-		})
-	}
-	start := now()
-	runLouvain(g, ws)
-	if opt.FinalRefine {
-		ws.finalRefine(g)
-	}
-	res := finishResult(g, ws, time.Since(start))
-	run.End()
+	res, _ := solve(g, opt, "louvain", false, nil, nil)
 	return res
 }
 
@@ -45,7 +30,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		n := cur.NumVertices()
 		ps.Vertices = n
 		ps.Arcs = cur.NumArcs()
-		psp := ws.beginPass("louvain", pass, n, ps.Arcs)
+		ws.emit(Event{Kind: PassBegin, Algorithm: "louvain", Pass: pass, Graph: cur})
 
 		t0 := now()
 		k := ws.k[:n]
@@ -53,7 +38,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		if pass == 0 {
 			ws.m = opt.Pool.SumFloat64(k, opt.Threads) / 2
 			if ws.m == 0 {
-				ws.endPass("louvain", pass, &ps, psp)
+				ws.endPass("louvain", pass, &ps)
 				return
 			}
 			opt.Pool.FillFloat64(ws.vsize[:n], 1, opt.Threads)
@@ -68,14 +53,14 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		}
 
 		t0 = now()
-		sp := opt.Tracer.Begin("move", 0)
+		ws.emit(Event{Kind: PhaseBegin, Pass: pass, Phase: "move"})
 		var li int
 		if coloring != nil {
 			li = ws.movePhaseColored(cur, tau, coloring, pass, &ps)
 		} else {
 			li = ws.movePhase(cur, tau, pass, &ps)
 		}
-		sp.End()
+		ws.emit(Event{Kind: PhaseEnd, Pass: pass, Phase: "move"})
 		ps.MoveIterations = li
 		ps.Move = time.Since(t0)
 
@@ -85,7 +70,7 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 			t0 = now()
 			ws.lookupDendrogram(comm)
 			ps.Other += time.Since(t0)
-			ws.endPass("louvain", pass, &ps, psp)
+			ws.endPass("louvain", pass, &ps)
 			return
 		}
 
@@ -96,29 +81,25 @@ func runLouvain(g *graph.CSR, ws *workspace) {
 		lowShrink := float64(nComms)/float64(n) > opt.AggregationTolerance
 		ps.Other += time.Since(t0)
 		if lowShrink {
-			ws.endPass("louvain", pass, &ps, psp)
+			ws.endPass("louvain", pass, &ps)
 			return
 		}
 
 		t0 = now()
-		sp = opt.Tracer.Begin("aggregate", 0)
+		ws.emit(Event{Kind: PhaseBegin, Pass: pass, Phase: "aggregate"})
 		next, occ := ws.aggregate(cur, nComms)
 		ws.aggregateSizes(n, nComms)
-		sp.End()
+		ws.emit(Event{Kind: PhaseEnd, Pass: pass, Phase: "aggregate"})
 		ps.AggOccupancy = occ
 		ps.Aggregate = time.Since(t0)
-		if opt.Inspector != nil {
-			// Louvain has no separate refinement: the renumbered move
-			// partition is what aggregation grouped by.
-			opt.Inspector(LevelEvent{
-				Algorithm: "louvain", Pass: pass, Graph: cur,
-				Refined: comm, Communities: nComms, Aggregated: next,
-			})
-		}
+		// Louvain has no separate refinement: the renumbered move
+		// partition is what aggregation grouped by.
+		ws.emit(Event{Kind: LevelBuilt, Algorithm: "louvain", Pass: pass, Graph: cur,
+			Refined: comm, Communities: nComms, Aggregated: next})
 		ws.phiNext = next // its singletons are this pass's move partition
 		cur = next
 		tau /= opt.ToleranceDrop
-		ws.endPass("louvain", pass, &ps, psp)
+		ws.endPass("louvain", pass, &ps)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"gveleiden/internal/graph"
 	"gveleiden/internal/hashtable"
-	"gveleiden/internal/observe"
 )
 
 // movePhase is the local-moving phase of GVE-Leiden (Algorithm 2). It
@@ -11,9 +10,9 @@ import (
 // community with maximum delta-modularity, using flag-based vertex
 // pruning: only vertices whose neighbourhood changed since they were
 // last examined are reprocessed. Work counters (scanned, pruned, moves,
-// ΔQ per iteration) accumulate into ps; each iteration emits a trace
-// span and an observer event when those are configured. Returns l_i,
-// the number of iterations performed.
+// ΔQ per iteration) accumulate into ps; each iteration emits an
+// IterBegin and an IterEnd event. Returns l_i, the number of iterations
+// performed.
 func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStats) int {
 	n := g.NumVertices()
 	threads, grain := ws.opt.Threads, ws.opt.Grain
@@ -51,7 +50,7 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 	for it := 0; it < ws.opt.MaxIterations; it++ {
 		ws.zeroDQ()
 		ws.zeroMC()
-		sp := ws.opt.Tracer.Begin("move.iter", 0)
+		ws.emit(Event{Kind: IterBegin, Pass: pass, Iteration: it})
 		ws.opt.Pool.For(n, threads, grain, func(lo, hi, tid int) {
 			h := ws.tables[tid]
 			f := &ws.flats[tid]
@@ -88,7 +87,7 @@ func (ws *workspace) movePhase(g *graph.CSR, tau float64, pass int, ps *PassStat
 		})
 		iters++
 		dq := ws.sumDQ()
-		ws.recordIteration(pass, it, dq, ps, sp)
+		ws.recordIteration(pass, it, dq, ps)
 		if dq <= tau { // locally converged?
 			break
 		}
@@ -147,9 +146,9 @@ func (ws *workspace) partitionQuality(g *graph.CSR, comm []uint32) float64 {
 }
 
 // recordIteration folds one local-moving iteration's merged counters
-// into ps, closes its trace span, and notifies the observer. Shared by
-// the asynchronous and the deterministic (colored) move phases.
-func (ws *workspace) recordIteration(pass, it int, dq float64, ps *PassStats, sp observe.Span) {
+// into ps and emits its IterEnd event. Shared by the asynchronous and
+// the deterministic (colored) move phases.
+func (ws *workspace) recordIteration(pass, it int, dq float64, ps *PassStats) {
 	c := ws.sumMC()
 	ps.Scanned += c.scanned
 	ps.Pruned += c.pruned
@@ -157,22 +156,9 @@ func (ws *workspace) recordIteration(pass, it int, dq float64, ps *PassStats, sp
 	ps.Moves += c.moves
 	ps.IterMoves = append(ps.IterMoves, c.moves)
 	ps.DeltaQ += dq
-	if ws.opt.Tracer != nil { // don't build the args map when not tracing
-		sp.EndArgs(map[string]any{
-			"scanned": c.scanned, "pruned": c.pruned, "flat": c.flat, "moves": c.moves, "dq": dq,
-		})
-	}
-	if o := ws.opt.Observer; o != nil {
-		o.OnIteration(observe.IterEvent{
-			Pass:      pass,
-			Iteration: it,
-			Scanned:   c.scanned,
-			Pruned:    c.pruned,
-			FlatScans: c.flat,
-			Moves:     c.moves,
-			DeltaQ:    dq,
-		})
-	}
+	ws.emit(Event{Kind: IterEnd, Pass: pass, Iteration: it, Iter: IterStats{
+		Scanned: c.scanned, Pruned: c.pruned, FlatScans: c.flat, Moves: c.moves, DeltaQ: dq,
+	}})
 }
 
 // moveVertex examines one vertex: scans the communities connected to it

@@ -1,56 +1,153 @@
 package core
 
 import (
+	"fmt"
+	"io"
+	"log/slog"
 	"strconv"
+	"sync"
+	"time"
 
 	"gveleiden/internal/observe"
 	"gveleiden/internal/parallel"
 )
 
-// endPass finishes one pass of a run: records ps in the run's stats,
-// closes the pass's trace span, and notifies the observer. alg names
-// the driver ("leiden", "louvain", "final-refine") for the event.
-func (ws *workspace) endPass(alg string, pass int, ps *PassStats, sp observe.Span) {
-	ws.stats.Passes = append(ws.stats.Passes, *ps)
-	if ws.opt.Tracer != nil {
-		sp.EndArgs(map[string]any{
-			"iters": ps.MoveIterations, "moves": ps.Moves,
-			"refineMoves": ps.RefineMoves, "communities": ps.Communities,
-		})
+// TraceObserver records a run's events as spans on t: one for the run,
+// each pass, each phase and each local-moving iteration, so t.Write
+// yields a Chrome-trace/Perfetto profile of the run. It holds the open
+// spans of one run at a time; concurrent runs each need their own. A nil
+// t yields a nil Observer.
+func TraceObserver(t *observe.Tracer) Observer {
+	if t == nil {
+		return nil
 	}
-	if o := ws.opt.Observer; o != nil {
-		o.OnPass(observe.PassEvent{
-			Algorithm:      alg,
-			Pass:           pass,
-			Vertices:       ps.Vertices,
-			Arcs:           ps.Arcs,
-			MoveIterations: ps.MoveIterations,
-			Scanned:        ps.Scanned,
-			Pruned:         ps.Pruned,
-			FlatScans:      ps.FlatScans,
-			Moves:          ps.Moves,
-			DeltaQ:         ps.DeltaQ,
-			RefineMoves:    ps.RefineMoves,
-			Communities:    ps.Communities,
-			AggOccupancy:   ps.AggOccupancy,
-			Move:           ps.Move,
-			Refine:         ps.Refine,
-			Aggregate:      ps.Aggregate,
-			Color:          ps.Color,
-			Split:          ps.Split,
-			Other:          ps.Other,
-		})
+	var open []observe.Span
+	begin := func(sp observe.Span) { open = append(open, sp) }
+	end := func(args map[string]any) {
+		sp := open[len(open)-1]
+		open = open[:len(open)-1]
+		sp.EndArgs(args)
+	}
+	return func(e Event) {
+		switch e.Kind {
+		case RunBegin:
+			begin(t.BeginArgs(e.Algorithm, 0, map[string]any{
+				"vertices": e.Graph.NumVertices(), "arcs": e.Graph.NumArcs(), "threads": e.Threads,
+			}))
+		case PassBegin:
+			begin(t.BeginArgs(e.Algorithm+".pass", 0, map[string]any{
+				"pass": e.Pass, "vertices": e.Graph.NumVertices(), "arcs": e.Graph.NumArcs(),
+			}))
+		case PhaseBegin:
+			begin(t.Begin(e.Phase, 0))
+		case IterBegin:
+			begin(t.Begin("move.iter", 0))
+		case RunEnd, PhaseEnd:
+			end(nil)
+		case PassEnd:
+			p := e.Stats
+			end(map[string]any{
+				"iters": p.MoveIterations, "moves": p.Moves,
+				"refineMoves": p.RefineMoves, "communities": p.Communities,
+			})
+		case IterEnd:
+			c := e.Iter
+			end(map[string]any{
+				"scanned": c.Scanned, "pruned": c.Pruned, "flat": c.FlatScans, "moves": c.Moves, "dq": c.DeltaQ,
+			})
+		}
 	}
 }
 
-// beginPass opens the trace span of one pass.
-func (ws *workspace) beginPass(alg string, pass, vertices int, arcs int64) observe.Span {
-	if ws.opt.Tracer == nil {
-		return observe.Span{}
+// ProgressObserver prints one line per pass to w — and, with iterations
+// set, one per local-moving iteration — the engine behind the CLI's -v
+// flag. Lines of concurrent runs sharing it do not interleave.
+func ProgressObserver(w io.Writer, iterations bool) Observer {
+	var mu sync.Mutex
+	return func(e Event) {
+		switch {
+		case e.Kind == IterEnd && iterations:
+			c := e.Iter
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(w, "  pass %d iter %d: scanned=%d pruned=%d moves=%d dQ=%.3e\n",
+				e.Pass, e.Iteration, c.Scanned, c.Pruned, c.Moves, c.DeltaQ)
+		case e.Kind == PassEnd:
+			p := e.Stats
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(w, "%s pass %d: |V'|=%d arcs=%d iters=%d moves=%d refineMoves=%d |Γ|=%d %s (move %s, refine %s, agg %s)\n",
+				e.Algorithm, e.Pass, p.Vertices, p.Arcs, p.MoveIterations, p.Moves,
+				p.RefineMoves, p.Communities, p.Duration().Round(time.Microsecond),
+				p.Move.Round(time.Microsecond), p.Refine.Round(time.Microsecond),
+				p.Aggregate.Round(time.Microsecond))
+		}
 	}
-	return ws.opt.Tracer.BeginArgs(alg+".pass", 0, map[string]any{
-		"pass": pass, "vertices": vertices, "arcs": arcs,
-	})
+}
+
+// LogObserver emits one structured record per pass to l — and, with
+// iterations set, one per local-moving iteration — the structured
+// counterpart of ProgressObserver. A nil l yields a nil Observer.
+func LogObserver(l *slog.Logger, iterations bool) Observer {
+	if l == nil {
+		return nil
+	}
+	return func(e Event) {
+		switch {
+		case e.Kind == IterEnd && iterations:
+			c := e.Iter
+			l.Info("iteration",
+				slog.Int("pass", e.Pass),
+				slog.Int("iter", e.Iteration),
+				slog.Int64("scanned", c.Scanned),
+				slog.Int64("pruned", c.Pruned),
+				slog.Int64("moves", c.Moves),
+				slog.Float64("delta_q", c.DeltaQ),
+			)
+		case e.Kind == PassEnd:
+			p := e.Stats
+			l.Info("pass",
+				slog.String("algorithm", e.Algorithm),
+				slog.Int("pass", e.Pass),
+				slog.Int("vertices", p.Vertices),
+				slog.Int64("arcs", p.Arcs),
+				slog.Int("iterations", p.MoveIterations),
+				slog.Int64("moves", p.Moves),
+				slog.Int64("refine_moves", p.RefineMoves),
+				slog.Int("communities", p.Communities),
+				slog.Float64("delta_q", p.DeltaQ),
+				slog.Duration("move", p.Move),
+				slog.Duration("refine", p.Refine),
+				slog.Duration("aggregate", p.Aggregate),
+				slog.Duration("total", p.Duration()),
+			)
+		}
+	}
+}
+
+// TelemetryObserver feeds every pass and iteration of a run into t's
+// phase, pass and ΔQ histograms and its work counters. A nil t yields a
+// nil Observer.
+func TelemetryObserver(t *observe.Telemetry) Observer {
+	if t == nil {
+		return nil
+	}
+	return func(e Event) {
+		switch e.Kind {
+		case IterEnd:
+			t.ObserveIteration(e.Iter.Moves)
+		case PassEnd:
+			p := e.Stats
+			t.ObservePass([observe.NumPhases]time.Duration{
+				observe.PhaseMove:      p.Move,
+				observe.PhaseRefine:    p.Refine,
+				observe.PhaseAggregate: p.Aggregate,
+				observe.PhaseColor:     p.Color,
+				observe.PhaseSplit:     p.Split,
+				observe.PhaseOther:     p.Other,
+			}, p.DeltaQ)
+		}
+	}
 }
 
 // AddMetrics appends the run's statistics to ms in a stable layout:

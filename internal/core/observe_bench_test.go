@@ -10,11 +10,8 @@ import (
 )
 
 // nullObserver consumes events without storing them — isolates the
-// event-construction and virtual-call cost from any sink cost.
-type nullObserver struct{}
-
-func (nullObserver) OnPass(observe.PassEvent)      {}
-func (nullObserver) OnIteration(observe.IterEvent) {}
+// event-construction and call cost from any sink cost.
+func nullObserver(Event) {}
 
 var benchGraph *graph.CSR
 
@@ -25,8 +22,8 @@ func observeBenchGraph() *graph.CSR {
 	return benchGraph
 }
 
-// BenchmarkLeidenNilObserver is the baseline: Observer and Tracer nil,
-// so every instrumentation site takes its no-op fast path. Compare
+// BenchmarkLeidenNilObserver is the baseline: Observer nil, so every
+// event site takes its no-op fast path. Compare
 // against BenchmarkLeidenObserved / BenchmarkLeidenTraced to verify the
 // nil path adds no measurable overhead versus pre-instrumentation code.
 func BenchmarkLeidenNilObserver(b *testing.B) {
@@ -43,7 +40,7 @@ func BenchmarkLeidenNilObserver(b *testing.B) {
 func BenchmarkLeidenObserved(b *testing.B) {
 	g := observeBenchGraph()
 	opt := testOpts(4)
-	opt.Observer = nullObserver{}
+	opt.Observer = nullObserver
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,14 +48,14 @@ func BenchmarkLeidenObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkLeidenTraced runs with a live Tracer collecting span events.
+// BenchmarkLeidenTraced runs with a TraceObserver collecting span events.
 func BenchmarkLeidenTraced(b *testing.B) {
 	g := observeBenchGraph()
 	opt := testOpts(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.Tracer = observe.NewTracer()
+		opt.Observer = TraceObserver(observe.NewTracer())
 		Leiden(g, opt)
 	}
 }
@@ -76,7 +73,7 @@ func BenchmarkLeidenTelemetered(b *testing.B) {
 	pool.SetRegionLatency(tel.Region())
 	opt := testOpts(4)
 	opt.Pool = pool
-	opt.Observer = tel
+	opt.Observer = TelemetryObserver(tel)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,71 +13,178 @@ import (
 	"gveleiden/internal/parallel"
 )
 
-// recorder captures every event a run emits.
+// recorder captures every event a run emits. PassEnd stats are copied
+// on arrival, as the Event contract asks of anything kept.
 type recorder struct {
 	mu     sync.Mutex
-	passes []observe.PassEvent
-	iters  []observe.IterEvent
+	events []Event
 }
 
-func (r *recorder) OnPass(e observe.PassEvent) {
+func (r *recorder) observe(e Event) {
+	if e.Stats != nil {
+		ps := *e.Stats
+		e.Stats = &ps
+	}
 	r.mu.Lock()
-	r.passes = append(r.passes, e)
+	r.events = append(r.events, e)
 	r.mu.Unlock()
 }
 
-func (r *recorder) OnIteration(e observe.IterEvent) {
-	r.mu.Lock()
-	r.iters = append(r.iters, e)
-	r.mu.Unlock()
+// of returns the recorded events of kind k.
+func (r *recorder) of(k EventKind) []Event {
+	var out []Event
+	for _, e := range r.events {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
-// TestObserverEventsMatchStats: the events delivered to the Observer
-// agree with the PassStats recorded in the result, and the iteration
-// counters roll up into the pass counters.
+// checkEventStream verifies the event-stream contract on one run:
+// every begin has a matching end, events nest run ⊃ pass ⊃ phase ⊃
+// iteration (a level snapshot sits directly in its pass), the PassEnd
+// payloads equal res.Stats.Passes element by element, and each pass
+// that ran an aggregate phase emitted exactly one LevelBuilt. It
+// returns the number of level events.
+func checkEventStream(t *testing.T, evs []Event, res *Result) int {
+	t.Helper()
+	parent := map[EventKind]EventKind{
+		PassBegin: RunBegin, PhaseBegin: PassBegin, IterBegin: PhaseBegin, LevelBuilt: PassBegin,
+	}
+	opens := map[EventKind]EventKind{
+		RunEnd: RunBegin, PassEnd: PassBegin, PhaseEnd: PhaseBegin, IterEnd: IterBegin,
+	}
+	var open []Event
+	var passes []PassStats
+	var levels, aggPhases, levelsTotal int
+	for i, e := range evs {
+		var top *Event
+		if len(open) > 0 {
+			top = &open[len(open)-1]
+		}
+		switch e.Kind {
+		case RunBegin:
+			if top != nil {
+				t.Fatalf("event %d: run begins inside kind %d", i, top.Kind)
+			}
+			open = append(open, e)
+		case PassBegin, PhaseBegin, IterBegin, LevelBuilt:
+			if top == nil || top.Kind != parent[e.Kind] {
+				t.Fatalf("event %d (kind %d) is not nested in kind %d", i, e.Kind, parent[e.Kind])
+			}
+			if e.Kind == IterBegin && top.Phase != "move" {
+				t.Fatalf("event %d: iteration inside phase %q", i, top.Phase)
+			}
+			if e.Kind != LevelBuilt {
+				open = append(open, e)
+				continue
+			}
+			levels++
+			if e.Pass != top.Pass || e.Graph != top.Graph {
+				t.Errorf("event %d: level of pass %d inside pass %d, or on another graph", i, e.Pass, top.Pass)
+			}
+		default:
+			if top == nil || top.Kind != opens[e.Kind] {
+				t.Fatalf("event %d (kind %d) closes nothing open", i, e.Kind)
+			}
+			if top.Algorithm != e.Algorithm || top.Pass != e.Pass || top.Phase != e.Phase || top.Iteration != e.Iteration {
+				t.Fatalf("event %d closes %+v with %+v", i, *top, e)
+			}
+			open = open[:len(open)-1]
+			switch {
+			case e.Kind == PhaseEnd && e.Phase == "aggregate":
+				aggPhases++
+			case e.Kind == PassEnd:
+				passes = append(passes, *e.Stats)
+				if levels != aggPhases {
+					t.Errorf("pass %d: %d level events for %d aggregate phases", e.Pass, levels, aggPhases)
+				}
+				if levels > 0 && e.Stats.AggOccupancy <= 0 {
+					t.Errorf("pass %d built a level but records no aggregation", e.Pass)
+				}
+				levelsTotal += levels
+				levels, aggPhases = 0, 0
+			}
+		}
+	}
+	if len(open) != 0 {
+		t.Fatalf("%d events never closed, outermost kind %d", len(open), open[0].Kind)
+	}
+	if !reflect.DeepEqual(passes, res.Stats.Passes) {
+		t.Errorf("PassEnd payloads differ from Result.Stats.Passes:\n%+v\n%+v", passes, res.Stats.Passes)
+	}
+	return levelsTotal
+}
+
+// TestObserverEventsMatchStats: one recording observer over each entry
+// point and mode sees a well-formed event stream whose pass payloads
+// are the result's stats, and the iteration events roll up into the
+// pass counters.
 func TestObserverEventsMatchStats(t *testing.T) {
 	g, _ := gen.WebGraph(3000, 14, 1)
-	rec := &recorder{}
-	opt := testOpts(4)
-	opt.Observer = rec
-	res := Leiden(g, opt)
+	old, gNew, delta := evolvedPair(3, 40, 30)
+	prev := Leiden(old, testOpts(4)).Membership
+	cases := []struct {
+		name, alg string
+		run       func(Options) *Result
+		final     bool // the last pass is the final-refine pass
+	}{
+		{"leiden", "leiden", func(o Options) *Result { return Leiden(g, o) }, false},
+		{"louvain", "louvain", func(o Options) *Result { return Louvain(g, o) }, false},
+		{"final-refine", "leiden", func(o Options) *Result { o.FinalRefine = true; return Leiden(g, o) }, true},
+		{"deterministic", "leiden", func(o Options) *Result { o.Deterministic = true; return Leiden(g, o) }, false},
+		{"dynamic", "leiden", func(o Options) *Result {
+			return LeidenDynamic(gNew, prev, delta, DynamicFrontier, o)
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recorder{}
+			opt := testOpts(4)
+			opt.Observer = rec.observe
+			res := tc.run(opt)
 
-	if len(rec.passes) != len(res.Stats.Passes) {
-		t.Fatalf("observer saw %d passes, stats has %d", len(rec.passes), len(res.Stats.Passes))
-	}
-	var iterSum int64
-	for i, e := range rec.passes {
-		ps := res.Stats.Passes[i]
-		if e.Algorithm != "leiden" || e.Pass != i {
-			t.Errorf("pass %d event mislabeled: %+v", i, e)
-		}
-		if e.Vertices != ps.Vertices || e.MoveIterations != ps.MoveIterations ||
-			e.Moves != ps.Moves || e.RefineMoves != ps.RefineMoves ||
-			e.Scanned != ps.Scanned || e.Pruned != ps.Pruned {
-			t.Errorf("pass %d event %+v disagrees with stats %+v", i, e, ps)
-		}
-		// The per-iteration move counts must sum to the pass total.
-		var fromIters int64
-		for _, m := range ps.IterMoves {
-			fromIters += m
-		}
-		if fromIters != ps.Moves {
-			t.Errorf("pass %d: IterMoves sum %d != Moves %d", i, fromIters, ps.Moves)
-		}
-		if len(ps.IterMoves) != ps.MoveIterations {
-			t.Errorf("pass %d: %d IterMoves entries for %d iterations",
-				i, len(ps.IterMoves), ps.MoveIterations)
-		}
-		iterSum += int64(ps.MoveIterations)
-	}
-	if int64(len(rec.iters)) != iterSum {
-		t.Errorf("observer saw %d iteration events, stats says %d iterations",
-			len(rec.iters), iterSum)
-	}
-	for _, e := range rec.iters {
-		if e.Scanned < e.Moves {
-			t.Errorf("iteration event scanned %d < moves %d", e.Scanned, e.Moves)
-		}
+			if levels := checkEventStream(t, rec.events, res); levels == 0 {
+				t.Error("no level events: the run never aggregated")
+			}
+			if runs := rec.of(RunBegin); len(runs) != 1 || runs[0].Algorithm != tc.alg {
+				t.Errorf("run events %+v, want one %q run", runs, tc.alg)
+			}
+			var iterSum int
+			for i, e := range rec.of(PassEnd) {
+				want := tc.alg
+				if tc.final && i == res.Passes-1 {
+					want = "final-refine"
+				}
+				if e.Algorithm != want || e.Pass != i {
+					t.Errorf("pass %d event mislabeled: %s pass %d, want %s", i, e.Algorithm, e.Pass, want)
+				}
+				ps := e.Stats
+				// The per-iteration move counts must sum to the pass total.
+				var fromIters int64
+				for _, m := range ps.IterMoves {
+					fromIters += m
+				}
+				if fromIters != ps.Moves {
+					t.Errorf("pass %d: IterMoves sum %d != Moves %d", i, fromIters, ps.Moves)
+				}
+				if len(ps.IterMoves) != ps.MoveIterations {
+					t.Errorf("pass %d: %d IterMoves entries for %d iterations",
+						i, len(ps.IterMoves), ps.MoveIterations)
+				}
+				iterSum += ps.MoveIterations
+			}
+			iters := rec.of(IterEnd)
+			if len(iters) != iterSum {
+				t.Errorf("observer saw %d iteration events, stats says %d iterations", len(iters), iterSum)
+			}
+			for _, e := range iters {
+				if e.Iter.Scanned < e.Iter.Moves {
+					t.Errorf("iteration event scanned %d < moves %d", e.Iter.Scanned, e.Iter.Moves)
+				}
+			}
+		})
 	}
 }
 
@@ -131,59 +240,77 @@ func TestAggOccupancyBounds(t *testing.T) {
 	}
 }
 
-// TestTracedRunProducesValidNestedTrace: a traced Leiden run emits a
-// parseable Chrome trace whose run span contains the pass spans, which
-// contain the phase spans.
+// TestTracedRunProducesValidNestedTrace: every entry point, traced,
+// emits a parseable Chrome trace with exactly one run span, which
+// contains the pass spans, which contain the phase spans.
 func TestTracedRunProducesValidNestedTrace(t *testing.T) {
 	g, _ := gen.WebGraph(3000, 14, 1)
-	tr := observe.NewTracer()
-	opt := testOpts(4)
-	opt.Tracer = tr
-	res := Leiden(g, opt)
+	old, gNew, delta := evolvedPair(3, 40, 30)
+	prev := Leiden(old, testOpts(4)).Membership
+	entries := []struct {
+		name, span string
+		run        func(Options) *Result
+	}{
+		{"Leiden", "leiden", func(o Options) *Result { return Leiden(g, o) }},
+		{"LeidenHierarchy", "leiden", func(o Options) *Result { res, _ := LeidenHierarchy(g, o); return res }},
+		{"LeidenDynamic", "leiden", func(o Options) *Result {
+			return LeidenDynamic(gNew, prev, delta, DynamicFrontier, o)
+		}},
+		{"LeidenDynamicHierarchy", "leiden", func(o Options) *Result {
+			res, _ := LeidenDynamicHierarchy(gNew, prev, delta, DynamicFrontier, o)
+			return res
+		}},
+		{"Louvain", "louvain", func(o Options) *Result { return Louvain(g, o) }},
+	}
+	for _, tc := range entries {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := observe.NewTracer()
+			opt := testOpts(4)
+			opt.Observer = TraceObserver(tr)
+			res := tc.run(opt)
 
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatal("trace is not valid JSON")
-	}
-	evs := tr.Events()
-	span := func(name string) (observe.Event, bool) {
-		for _, e := range evs {
-			if e.Name == name {
-				return e, true
+			var buf bytes.Buffer
+			if err := tr.Write(&buf); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return observe.Event{}, false
-	}
-	run, ok := span("leiden")
-	if !ok {
-		t.Fatal("no run span recorded")
-	}
-	counts := map[string]int{}
-	for _, e := range evs {
-		counts[e.Name]++
-		// Every span nests inside the run span.
-		if e.Name != "leiden" && (e.Ts < run.Ts-1 || e.Ts+e.Dur > run.Ts+run.Dur+1) {
-			t.Errorf("event %q [%v,%v] escapes run span [%v,%v]",
-				e.Name, e.Ts, e.Ts+e.Dur, run.Ts, run.Ts+run.Dur)
-		}
-	}
-	if counts["leiden.pass"] != res.Passes {
-		t.Errorf("%d pass spans for %d passes", counts["leiden.pass"], res.Passes)
-	}
-	if counts["move"] != res.Passes {
-		t.Errorf("%d move spans for %d passes", counts["move"], res.Passes)
-	}
-	if counts["move.iter"] != res.Stats.TotalIterations() {
-		t.Errorf("%d iteration spans for %d iterations",
-			counts["move.iter"], res.Stats.TotalIterations())
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Ts < evs[i-1].Ts {
-			t.Fatalf("trace timestamps not monotonic at %d", i)
-		}
+			if !json.Valid(buf.Bytes()) {
+				t.Fatal("trace is not valid JSON")
+			}
+			evs := tr.Events()
+			counts := map[string]int{}
+			var run observe.Event
+			for _, e := range evs {
+				counts[e.Name]++
+				if e.Name == tc.span {
+					run = e
+				}
+			}
+			if counts[tc.span] != 1 {
+				t.Fatalf("%d %q run spans, want 1", counts[tc.span], tc.span)
+			}
+			for _, e := range evs {
+				// Every span nests inside the run span.
+				if e.Name != tc.span && (e.Ts < run.Ts-1 || e.Ts+e.Dur > run.Ts+run.Dur+1) {
+					t.Errorf("event %q [%v,%v] escapes run span [%v,%v]",
+						e.Name, e.Ts, e.Ts+e.Dur, run.Ts, run.Ts+run.Dur)
+				}
+			}
+			if counts[tc.span+".pass"] != res.Passes {
+				t.Errorf("%d pass spans for %d passes", counts[tc.span+".pass"], res.Passes)
+			}
+			if counts["move"] != res.Passes {
+				t.Errorf("%d move spans for %d passes", counts["move"], res.Passes)
+			}
+			if counts["move.iter"] != res.Stats.TotalIterations() {
+				t.Errorf("%d iteration spans for %d iterations",
+					counts["move.iter"], res.Stats.TotalIterations())
+			}
+			for i := 1; i < len(evs); i++ {
+				if evs[i].Ts < evs[i-1].Ts {
+					t.Fatalf("trace timestamps not monotonic at %d", i)
+				}
+			}
+		})
 	}
 }
 
@@ -195,8 +322,7 @@ func TestObservedRunMatchesBaseline(t *testing.T) {
 	opt.Deterministic = true
 	base := Leiden(g, opt)
 
-	opt.Observer = &recorder{}
-	opt.Tracer = observe.NewTracer()
+	opt.Observer = MultiObserver((&recorder{}).observe, TraceObserver(observe.NewTracer()))
 	observed := Leiden(g, opt)
 	if base.NumCommunities != observed.NumCommunities || base.Modularity != observed.Modularity {
 		t.Errorf("observation changed the result: %d/%f vs %d/%f",
@@ -254,12 +380,13 @@ func TestLouvainObserved(t *testing.T) {
 	g, _ := gen.WebGraph(2000, 12, 7)
 	rec := &recorder{}
 	opt := testOpts(4)
-	opt.Observer = rec
+	opt.Observer = rec.observe
 	res := Louvain(g, opt)
-	if len(rec.passes) != res.Passes {
-		t.Fatalf("observer saw %d passes, result says %d", len(rec.passes), res.Passes)
+	passes := rec.of(PassEnd)
+	if len(passes) != res.Passes {
+		t.Fatalf("observer saw %d passes, result says %d", len(passes), res.Passes)
 	}
-	for _, e := range rec.passes {
+	for _, e := range passes {
 		if e.Algorithm != "louvain" {
 			t.Errorf("pass event algorithm %q, want louvain", e.Algorithm)
 		}
@@ -273,10 +400,11 @@ func TestFinalRefineObserved(t *testing.T) {
 	rec := &recorder{}
 	opt := testOpts(4)
 	opt.FinalRefine = true
-	opt.Observer = rec
+	opt.Observer = rec.observe
 	Leiden(g, opt)
-	if len(rec.passes) == 0 || rec.passes[len(rec.passes)-1].Algorithm != "final-refine" {
-		t.Fatalf("last pass event should be final-refine, got %+v", rec.passes)
+	passes := rec.of(PassEnd)
+	if len(passes) == 0 || passes[len(passes)-1].Algorithm != "final-refine" {
+		t.Fatalf("last pass event should be final-refine, got %+v", passes)
 	}
 }
 
@@ -291,7 +419,7 @@ func TestTelemetryWiredRun(t *testing.T) {
 	pool.SetRegionLatency(tel.Region())
 	opt := testOpts(4)
 	opt.Pool = pool
-	opt.Observer = tel
+	opt.Observer = TelemetryObserver(tel)
 	opt.Deterministic = true // exercises the coloring sub-phase
 
 	const runs = 3
@@ -374,5 +502,64 @@ func TestPassStatsPhaseAccounting(t *testing.T) {
 	}
 	if wantOther := float64(co+sp+ot) / float64(mv+rf+ag+co+sp+ot); o4 < wantOther*0.999 || o4 > wantOther*1.001 {
 		t.Errorf("PhaseSplit other = %v, want %v (color+split folded in)", o4, wantOther)
+	}
+}
+
+// TestProgressObserver: the -v printer writes its pass line and, when
+// asked, its iteration line.
+func TestProgressObserver(t *testing.T) {
+	var buf bytes.Buffer
+	p := ProgressObserver(&buf, true)
+	p(Event{Kind: IterEnd, Pass: 0, Iteration: 1, Iter: IterStats{Scanned: 10, Moves: 4, DeltaQ: 0.1}})
+	p(Event{Kind: PassEnd, Algorithm: "leiden", Pass: 0, Stats: &PassStats{Vertices: 100, MoveIterations: 2}})
+	out := buf.String()
+	if !strings.Contains(out, "pass 0 iter 1") || !strings.Contains(out, "leiden pass 0") {
+		t.Errorf("unexpected progress output:\n%s", out)
+	}
+
+	// Concurrent runs sharing the printer write whole lines.
+	buf.Reset()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p(Event{Kind: PassEnd, Algorithm: "leiden", Pass: i, Stats: &PassStats{}})
+			}
+		}()
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 200 {
+		t.Fatalf("%d lines from 200 concurrent pass events", len(lines))
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "leiden pass ") || !strings.HasSuffix(l, ")") {
+			t.Fatalf("torn progress line %q", l)
+		}
+	}
+}
+
+// TestMultiObserver: the fan-out drops nil observers, returns nil when
+// none is left, and delivers every event to each live one once.
+func TestMultiObserver(t *testing.T) {
+	if MultiObserver(nil, nil) != nil {
+		t.Error("MultiObserver of nils should be nil")
+	}
+	var a, b recorder
+	m := MultiObserver(a.observe, nil, b.observe)
+	m(Event{Kind: PassEnd, Stats: &PassStats{}})
+	m(Event{Kind: IterEnd})
+	m(Event{Kind: IterEnd})
+	for _, r := range []*recorder{&a, &b} {
+		if len(r.of(PassEnd)) != 1 || len(r.of(IterEnd)) != 2 {
+			t.Errorf("fan-out mismatch: %+v", r.events)
+		}
+	}
+	var c recorder
+	MultiObserver(nil, c.observe)(Event{Kind: RunEnd})
+	if len(c.events) != 1 {
+		t.Errorf("single observer saw %d events, want 1", len(c.events))
 	}
 }

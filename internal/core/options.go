@@ -11,7 +11,6 @@ package core
 import (
 	"math"
 
-	"gveleiden/internal/observe"
 	"gveleiden/internal/parallel"
 )
 
@@ -179,23 +178,13 @@ type Options struct {
 	// the shared process-default pool, which is right for almost all
 	// callers; pass a dedicated pool to isolate concurrent runs.
 	Pool *parallel.Pool
-	// Observer, when non-nil, receives a pass event after every pass
-	// and an iteration event after every local-moving iteration — the
-	// hook behind progress reporting on long runs. nil (the default)
-	// keeps the hot path on a no-op fast path: event sites cost one
-	// pointer comparison and build no event values.
-	Observer observe.Observer
-	// Tracer, when non-nil, records a span for the whole run, each
-	// pass, each phase, and each local-moving iteration; write it out
-	// with Tracer.Write for a Chrome-trace/Perfetto-compatible profile
-	// of the run. nil disables tracing at the same no-op cost.
-	Tracer *observe.Tracer
-	// Inspector, when non-nil, receives a LevelEvent after every
-	// aggregating pass — the hook the invariant-checking oracle
-	// (internal/oracle) attaches to. The event aliases live workspace
-	// memory; see LevelEvent. nil (the default) costs one pointer
-	// comparison per pass.
-	Inspector LevelInspector
+	// Observer, when non-nil, receives every event of the run: run,
+	// pass, phase and local-moving iteration begin/end, and a
+	// LevelBuilt snapshot after each aggregation — the one hook behind
+	// tracing, progress lines, logs, telemetry and the oracle's level
+	// checks (see Event). nil (the default) keeps the hot path on a
+	// no-op fast path: every event site costs one nil comparison.
+	Observer Observer
 }
 
 // DefaultOptions returns the configuration evaluated in the paper:

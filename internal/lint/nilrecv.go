@@ -7,12 +7,12 @@ import (
 )
 
 // NilRecv verifies the nil-receiver contract of types annotated
-// //gvevet:nilsafe (observe.Tracer and the observer implementations):
-// every pointer-receiver method must compare the receiver against nil
-// before its first receiver field access. The repo leans on this —
-// `opt.Tracer.Begin(...)` is written without a guard at dozens of call
-// sites precisely because a nil *Tracer is the documented "off" state —
-// so an unguarded method is a latent panic on every one of those sites.
+// //gvevet:nilsafe (observe.Tracer, Telemetry, Histogram and the other
+// sinks): every pointer-receiver method must compare the receiver
+// against nil before its first receiver field access. The repo leans on
+// this — a command calls `tracer.Begin(...)` or `tel.Region()` without a
+// guard because a nil receiver is the documented "off" state — so an
+// unguarded method is a latent panic at every such call site.
 //
 // Method calls through the receiver are exempt: a nil-safe type's own
 // methods guard themselves. The check is positional (the first guard

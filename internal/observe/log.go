@@ -18,57 +18,6 @@ func NewLogger(w io.Writer, format string, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, opts))
 }
 
-// SlogObserver is an Observer emitting one structured log record per
-// pass (and, with Iterations set, per local-moving iteration) — the
-// structured-logging counterpart of Progress. A nil *SlogObserver or a
-// nil Logger disables emission.
-//
-//gvevet:nilsafe
-type SlogObserver struct {
-	Logger     *slog.Logger
-	Iterations bool
-}
-
-// NewSlogObserver returns an observer logging pass summaries to l.
-func NewSlogObserver(l *slog.Logger) *SlogObserver { return &SlogObserver{Logger: l} }
-
-// OnIteration implements Observer.
-func (o *SlogObserver) OnIteration(e IterEvent) {
-	if o == nil || o.Logger == nil || !o.Iterations {
-		return
-	}
-	o.Logger.Info("iteration",
-		slog.Int("pass", e.Pass),
-		slog.Int("iter", e.Iteration),
-		slog.Int64("scanned", e.Scanned),
-		slog.Int64("pruned", e.Pruned),
-		slog.Int64("moves", e.Moves),
-		slog.Float64("delta_q", e.DeltaQ),
-	)
-}
-
-// OnPass implements Observer.
-func (o *SlogObserver) OnPass(e PassEvent) {
-	if o == nil || o.Logger == nil {
-		return
-	}
-	o.Logger.Info("pass",
-		slog.String("algorithm", e.Algorithm),
-		slog.Int("pass", e.Pass),
-		slog.Int("vertices", e.Vertices),
-		slog.Int64("arcs", e.Arcs),
-		slog.Int("iterations", e.MoveIterations),
-		slog.Int64("moves", e.Moves),
-		slog.Int64("refine_moves", e.RefineMoves),
-		slog.Int("communities", e.Communities),
-		slog.Float64("delta_q", e.DeltaQ),
-		slog.Duration("move", e.Move),
-		slog.Duration("refine", e.Refine),
-		slog.Duration("aggregate", e.Aggregate),
-		slog.Duration("total", e.Duration()),
-	)
-}
-
 // LogRun emits the run-summary record matching a RunRecord — shared by
 // the CLI's normal and -serve paths so both log the same shape.
 func LogRun(l *slog.Logger, r RunRecord) {

@@ -65,41 +65,3 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 		t.Errorf("metric 1 labels mismatch: %+v", back[1])
 	}
 }
-
-func TestProgressObserver(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(&buf)
-	p.Iterations = true
-	p.OnIteration(IterEvent{Pass: 0, Iteration: 1, Scanned: 10, Moves: 4, DeltaQ: 0.1})
-	p.OnPass(PassEvent{Algorithm: "leiden", Pass: 0, Vertices: 100, MoveIterations: 2})
-	out := buf.String()
-	if !strings.Contains(out, "pass 0 iter 1") || !strings.Contains(out, "leiden pass 0") {
-		t.Errorf("unexpected progress output:\n%s", out)
-	}
-}
-
-func TestMultiObserver(t *testing.T) {
-	if Multi(nil, nil) != nil {
-		t.Error("Multi of nils should be nil")
-	}
-	var a, b countObs
-	m := Multi(&a, nil, &b)
-	m.OnPass(PassEvent{})
-	m.OnIteration(IterEvent{})
-	m.OnIteration(IterEvent{})
-	if a.passes != 1 || b.passes != 1 || a.iters != 2 || b.iters != 2 {
-		t.Errorf("fan-out mismatch: a=%+v b=%+v", a, b)
-	}
-	single := &a
-	if got := Multi(nil, single); got != Observer(single) {
-		t.Error("Multi of one observer should return it unwrapped")
-	}
-}
-
-type countObs struct {
-	passes, iters int
-}
-
-func (c *countObs) OnPass(PassEvent) { c.passes++ }
-
-func (c *countObs) OnIteration(IterEvent) { c.iters++ }

@@ -5,14 +5,10 @@
 //
 // It provides two layers. The per-run layer:
 //
-//   - Tracer — span-based tracing. Every pass, phase, and local-moving
-//     iteration of a run opens a span; the recorded spans serialize to
-//     Chrome trace-event JSON (chrome://tracing / Perfetto compatible),
-//     so a whole Leiden run can be profiled visually.
-//
-//   - Observer — a per-run hook receiving pass and iteration events as
-//     they happen, for progress reporting on long runs. A nil Observer
-//     costs one pointer comparison per event site.
+//   - Tracer — span-based tracing, serialized as Chrome trace-event JSON
+//     (chrome://tracing / Perfetto compatible). core.TraceObserver opens
+//     a span for a run and each of its passes, phases and local-moving
+//     iterations, so a whole Leiden run can be profiled visually.
 //
 //   - MetricSet — a small ordered metric registry with Prometheus
 //     text-format and JSON writers, used by the CLIs' -metrics flag and
@@ -38,5 +34,8 @@
 //
 // The package deliberately depends only on the standard library, so
 // every other layer (internal/parallel, internal/core, the commands)
-// may import it without cycles.
+// may import it without cycles. It knows nothing of a run's structure:
+// core's single Observer hook emits the run's events, and the
+// subscribers in core hand plain values to the sinks here (spans to a
+// Tracer, durations and counts to Telemetry).
 package observe

@@ -45,7 +45,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 // status, content type, and payload shape.
 func TestServerEndpoints(t *testing.T) {
 	tel := NewTelemetry(4)
-	tel.OnPass(PassEvent{Move: time.Millisecond, DeltaQ: 0.1})
+	tel.ObservePass([NumPhases]time.Duration{PhaseMove: time.Millisecond}, 0.1)
 	tel.RecordRun(RunRecord{Algorithm: "leiden", WallSeconds: 0.01})
 	gather := func() *MetricSet {
 		ms := NewMetricSet()

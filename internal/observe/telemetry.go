@@ -2,6 +2,7 @@ package observe
 
 import (
 	"sync/atomic"
+	"time"
 )
 
 // Phase indices of Telemetry's per-phase duration histograms, matching
@@ -23,9 +24,9 @@ var phaseNames = [NumPhases]string{"move", "refine", "aggregate", "color", "spli
 // activity: per-phase duration histograms, pass/run duration and
 // per-pass ΔQ histograms, a pool region-latency histogram, monotonic
 // work counters, and a flight recorder of recent runs. One Telemetry
-// outlives many runs — it implements Observer, so wiring it into
-// Options.Observer accumulates every pass of every run, and a scrape
-// (AddTo) can happen concurrently with a run in flight.
+// outlives many runs — core.TelemetryObserver feeds it every pass and
+// iteration of every run it is wired into, and a scrape (AddTo) can
+// happen concurrently with a run in flight.
 //
 // A nil *Telemetry is the "telemetry off" state: every method is a
 // cheap no-op, and the histograms it hands out are nil (which Observe
@@ -80,34 +81,34 @@ func (t *Telemetry) Flight() *FlightRecorder {
 	return t.flight
 }
 
-// OnIteration implements Observer.
-func (t *Telemetry) OnIteration(e IterEvent) {
+// ObserveIteration counts one local-moving iteration and the moves it
+// applied.
+func (t *Telemetry) ObserveIteration(moves int64) {
 	if t == nil {
 		return
 	}
 	t.iterations.Add(1)
-	t.moves.Add(uint64(e.Moves))
+	t.moves.Add(uint64(moves))
 }
 
-// OnPass implements Observer, feeding the phase, pass, and ΔQ
-// histograms.
-func (t *Telemetry) OnPass(e PassEvent) {
+// ObservePass feeds one pass into the phase, pass and ΔQ histograms:
+// phases holds its durations indexed by the Phase constants, deltaQ the
+// modularity its local moving gained. Color and split durations are
+// recorded only when the pass had those sub-phases.
+func (t *Telemetry) ObservePass(phases [NumPhases]time.Duration, deltaQ float64) {
 	if t == nil {
 		return
 	}
 	t.passes.Add(1)
-	t.phase[PhaseMove].ObserveDuration(e.Move)
-	t.phase[PhaseRefine].ObserveDuration(e.Refine)
-	t.phase[PhaseAggregate].ObserveDuration(e.Aggregate)
-	if e.Color > 0 {
-		t.phase[PhaseColor].ObserveDuration(e.Color)
+	var total time.Duration
+	for i, d := range phases {
+		total += d
+		if d > 0 || (i != PhaseColor && i != PhaseSplit) {
+			t.phase[i].ObserveDuration(d)
+		}
 	}
-	if e.Split > 0 {
-		t.phase[PhaseSplit].ObserveDuration(e.Split)
-	}
-	t.phase[PhaseOther].ObserveDuration(e.Other)
-	t.pass.ObserveDuration(e.Duration())
-	t.deltaQ.Observe(e.DeltaQ)
+	t.pass.ObserveDuration(total)
+	t.deltaQ.Observe(deltaQ)
 }
 
 // RecordRun records one completed run: the run-duration histogram, the

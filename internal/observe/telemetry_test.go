@@ -13,13 +13,11 @@ func TestTelemetryAccumulates(t *testing.T) {
 	tel := NewTelemetry(8)
 	for run := 0; run < 3; run++ {
 		for pass := 0; pass < 2; pass++ {
-			tel.OnIteration(IterEvent{Pass: pass, Moves: 10})
-			tel.OnPass(PassEvent{
-				Algorithm: "leiden", Pass: pass,
-				Move: 5 * time.Millisecond, Refine: 2 * time.Millisecond,
-				Aggregate: time.Millisecond, Other: 500 * time.Microsecond,
-				DeltaQ: 0.01,
-			})
+			tel.ObserveIteration(10)
+			tel.ObservePass([NumPhases]time.Duration{
+				PhaseMove: 5 * time.Millisecond, PhaseRefine: 2 * time.Millisecond,
+				PhaseAggregate: time.Millisecond, PhaseOther: 500 * time.Microsecond,
+			}, 0.01)
 		}
 		tel.RecordRun(RunRecord{Algorithm: "leiden", WallSeconds: 0.02})
 	}
@@ -81,8 +79,8 @@ func TestTelemetryRegionHistogram(t *testing.T) {
 // TestTelemetryNil: a nil telemetry is inert everywhere it is wired.
 func TestTelemetryNil(t *testing.T) {
 	var tel *Telemetry
-	tel.OnIteration(IterEvent{})
-	tel.OnPass(PassEvent{})
+	tel.ObserveIteration(0)
+	tel.ObservePass([NumPhases]time.Duration{}, 0)
 	tel.RecordRun(RunRecord{})
 	if tel.Runs() != 0 {
 		t.Fatal("nil telemetry counted a run")
@@ -100,17 +98,17 @@ func TestTelemetryNil(t *testing.T) {
 	tel.Flight().Add(RunRecord{})
 }
 
-// BenchmarkTelemetryOnPass: the per-pass feed stays allocation-free, so
-// wiring telemetry into a run adds no GC pressure.
-func BenchmarkTelemetryOnPass(b *testing.B) {
+// BenchmarkTelemetryObservePass: the per-pass feed stays
+// allocation-free, so wiring telemetry into a run adds no GC pressure.
+func BenchmarkTelemetryObservePass(b *testing.B) {
 	tel := NewTelemetry(8)
-	e := PassEvent{Move: time.Millisecond, Refine: time.Millisecond,
-		Aggregate: time.Millisecond, Other: time.Millisecond, DeltaQ: 0.1}
+	phases := [NumPhases]time.Duration{PhaseMove: time.Millisecond, PhaseRefine: time.Millisecond,
+		PhaseAggregate: time.Millisecond, PhaseOther: time.Millisecond}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tel.OnPass(e)
+		tel.ObservePass(phases, 0.1)
 	}
-	if a := testing.AllocsPerRun(100, func() { tel.OnPass(e) }); a != 0 {
-		b.Fatalf("OnPass allocates %v per call, want 0", a)
+	if a := testing.AllocsPerRun(100, func() { tel.ObservePass(phases, 0.1) }); a != 0 {
+		b.Fatalf("ObservePass allocates %v per call, want 0", a)
 	}
 }

@@ -7,16 +7,16 @@ import (
 	"gveleiden/internal/graph"
 )
 
-// LevelChecks wires the per-level invariants into a run via
-// core.Options.Inspector: after every aggregating pass it verifies the
-// refined partition (validity, density, containment in the move
-// partition, per-community connectivity), the aggregated holey CSR's
-// well-formedness, and total-weight conservation across the level.
+// LevelChecks is an observer of the per-level invariants: on every
+// LevelBuilt event of a run it verifies the refined partition
+// (validity, density, containment in the move partition, per-community
+// connectivity), the aggregated holey CSR's well-formedness, and
+// total-weight conservation across the level.
 //
-// The inspector runs synchronously inside the algorithm's driver
-// goroutine at a pass boundary (all pool barriers behind it), so it may
-// freely read the event's aliased workspace buffers; it copies nothing
-// and retains nothing.
+// Observe runs synchronously inside the algorithm's driver goroutine at
+// a pass boundary (all pool barriers behind it), so it may freely read
+// the event's aliased workspace buffers; it copies nothing and retains
+// nothing.
 type LevelChecks struct {
 	// R receives the violations.
 	R *Report
@@ -26,54 +26,46 @@ type LevelChecks struct {
 	Levels int
 }
 
-// Inspector returns the callback to install as Options.Inspector.
-func (lc *LevelChecks) Inspector() core.LevelInspector {
-	return func(ev core.LevelEvent) {
-		lc.Levels++
-		where := fmt.Sprintf("%s pass %d", ev.Algorithm, ev.Pass)
-		Scoped(lc.R, where, func() {
-			CheckPartition(lc.R, ev.Graph, ev.Refined, true)
-			maxLabel := uint32(0)
-			for _, c := range ev.Refined {
-				if c > maxLabel {
-					maxLabel = c
-				}
-			}
-			lc.R.Checks++
-			if len(ev.Refined) > 0 && int(maxLabel)+1 != ev.Communities {
-				lc.R.addf("partition-validity", "refined labels reach %d but the level declares %d communities", maxLabel, ev.Communities)
-			}
-			if ev.Move != nil {
-				CheckRefinement(lc.R, ev.Refined, ev.Move)
-				// Leiden's refinement must leave every refined community
-				// connected within the level graph; Louvain (Move == nil)
-				// makes no such promise.
-				CheckConnected(lc.R, ev.Graph, ev.Refined, lc.Threads)
-			}
-			CheckCSR(lc.R, ev.Aggregated)
-			lc.R.Checks++
-			if ev.Aggregated.NumVertices() != ev.Communities {
-				lc.R.addf("csr-wellformed", "aggregated graph has %d vertices, refined partition has %d communities",
-					ev.Aggregated.NumVertices(), ev.Communities)
-			}
-			CheckWeightConservation(lc.R, ev.Graph, ev.Aggregated, "level")
-		})
+// Observe checks one LevelBuilt event and ignores every other kind.
+func (lc *LevelChecks) Observe(ev core.Event) {
+	if ev.Kind != core.LevelBuilt {
+		return
 	}
+	lc.Levels++
+	where := fmt.Sprintf("%s pass %d", ev.Algorithm, ev.Pass)
+	Scoped(lc.R, where, func() {
+		CheckPartition(lc.R, ev.Graph, ev.Refined, true)
+		maxLabel := uint32(0)
+		for _, c := range ev.Refined {
+			if c > maxLabel {
+				maxLabel = c
+			}
+		}
+		lc.R.Checks++
+		if len(ev.Refined) > 0 && int(maxLabel)+1 != ev.Communities {
+			lc.R.addf("partition-validity", "refined labels reach %d but the level declares %d communities", maxLabel, ev.Communities)
+		}
+		if ev.Move != nil {
+			CheckRefinement(lc.R, ev.Refined, ev.Move)
+			// Leiden's refinement must leave every refined community
+			// connected within the level graph; Louvain (Move == nil)
+			// makes no such promise.
+			CheckConnected(lc.R, ev.Graph, ev.Refined, lc.Threads)
+		}
+		CheckCSR(lc.R, ev.Aggregated)
+		lc.R.Checks++
+		if ev.Aggregated.NumVertices() != ev.Communities {
+			lc.R.addf("csr-wellformed", "aggregated graph has %d vertices, refined partition has %d communities",
+				ev.Aggregated.NumVertices(), ev.Communities)
+		}
+		CheckWeightConservation(lc.R, ev.Graph, ev.Aggregated, "level")
+	})
 }
 
-// Attach installs the level checks on opt and returns the modified
-// options, composing with any inspector already present.
+// Attach chains the level checks onto opt's observer and returns the
+// modified options.
 func (lc *LevelChecks) Attach(opt core.Options) core.Options {
-	prev := opt.Inspector
-	ins := lc.Inspector()
-	if prev == nil {
-		opt.Inspector = ins
-	} else {
-		opt.Inspector = func(ev core.LevelEvent) {
-			prev(ev)
-			ins(ev)
-		}
-	}
+	opt.Observer = core.MultiObserver(opt.Observer, lc.Observe)
 	return opt
 }
 

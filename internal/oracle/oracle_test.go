@@ -207,7 +207,7 @@ func TestLevelChecksCatchPlantedViolation(t *testing.T) {
 	opt.Threads = 2
 	res := core.Leiden(g, opt)
 	if lc.Levels == 0 {
-		t.Fatalf("inspector never fired")
+		t.Fatalf("level checks never fired")
 	}
 	if err := lc.R.Err(); err != nil {
 		t.Fatalf("level invariants violated on honest run: %v", err)
@@ -227,19 +227,19 @@ func TestLevelChecksCatchPlantedViolation(t *testing.T) {
 	ab.AddEdge(0, 0, 6)
 	ab.AddEdge(1, 1, 6)
 	agg := ab.Build()
-	ev := core.LevelEvent{
-		Algorithm: "leiden", Pass: 0, Graph: small,
+	ev := core.Event{
+		Kind: core.LevelBuilt, Algorithm: "leiden", Pass: 0, Graph: small,
 		Move: []uint32{0, 0, 0, 1, 1, 1}, Refined: []uint32{0, 0, 0, 1, 1, 1},
 		Communities: 2, Aggregated: agg,
 	}
 	lc2 := &LevelChecks{R: &Report{}, Threads: 1}
-	lc2.Inspector()(ev)
+	lc2.Observe(ev)
 	if err := lc2.R.Err(); err != nil {
 		t.Fatalf("consistent synthetic event flagged: %v", err)
 	}
 	ev.Communities = 3 // contradicts both the labels and the aggregated size
 	lc3 := &LevelChecks{R: &Report{}, Threads: 1}
-	lc3.Inspector()(ev)
+	lc3.Observe(ev)
 	if lc3.R.Ok() {
 		t.Fatalf("inconsistent community count not flagged")
 	}

@@ -167,7 +167,7 @@ func New(g *graph.CSR, cfg Config) (*Server, error) {
 // server's telemetry chained onto any caller Observer.
 func (s *Server) runOptions() core.Options {
 	opt := s.cfg.Options
-	opt.Observer = observe.Multi(opt.Observer, s.tel)
+	opt.Observer = core.MultiObserver(opt.Observer, core.TelemetryObserver(s.tel))
 	return opt
 }
 
