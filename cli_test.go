@@ -34,7 +34,7 @@ func buildCLIs(t *testing.T) string {
 		if cliErr != nil {
 			return
 		}
-		for _, tool := range []string{"gveleiden", "graphgen", "communities", "benchall", "gveserve"} {
+		for _, tool := range []string{"gveleiden", "gveconvert", "communities", "benchall", "gveserve"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(cliDir, tool), "./cmd/"+tool)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				cliErr = fmt.Errorf("building %s: %v\n%s", tool, err, out)
@@ -66,9 +66,9 @@ func TestCLIPipeline(t *testing.T) {
 	dotPath := filepath.Join(work, "g.dot")
 
 	// 1. Generate a graph file.
-	out := runCLI(t, bin, "graphgen", "-gen", "web", "-n", "3000", "-o", graphPath)
+	out := runCLI(t, bin, "gveconvert", "-gen", "web", "-n", "3000", "-o", graphPath)
 	if !strings.Contains(out, "wrote") {
-		t.Fatalf("graphgen output: %s", out)
+		t.Fatalf("gveconvert output: %s", out)
 	}
 
 	// 2. Detect communities, write membership + DOT.
@@ -96,7 +96,7 @@ func TestCLIDeterministicFlagStable(t *testing.T) {
 	bin := buildCLIs(t)
 	work := t.TempDir()
 	graphPath := filepath.Join(work, "g.mtx")
-	runCLI(t, bin, "graphgen", "-gen", "social", "-n", "2000", "-o", graphPath)
+	runCLI(t, bin, "gveconvert", "-gen", "social", "-n", "2000", "-o", graphPath)
 
 	m1 := filepath.Join(work, "m1.txt")
 	m2 := filepath.Join(work, "m2.txt")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,6 +173,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-o", "x.gvecsr"},                   // no input
 		{"-i", "a", "-gen", "er", "-o", "x"}, // both inputs
 		{"-inspect"},                         // no paths
+		{"-gen", "er", "-o", "x.mtx", "-compress"},       // container-only flag, text output
+		{"-gen", "er", "-o", "x.txt", "-perm", "degree"}, // container-only flag, text output
+		{"-corpus", "d", "-o", "x.gvecsr"},               // -corpus takes no -o
+		{"-corpus", "d", "-gen", "er"},                   // -corpus takes no -gen
 	} {
 		var outb, errb bytes.Buffer
 		if code := run(args, &outb, &errb); code != 2 {
@@ -181,5 +186,75 @@ func TestUsageErrors(t *testing.T) {
 	var outb, errb bytes.Buffer
 	if code := run([]string{"-gen", "nope", "-o", filepath.Join(t.TempDir(), "x.gvecsr")}, &outb, &errb); code != 1 {
 		t.Fatalf("unknown generator exited %d, want 1", code)
+	}
+}
+
+// loadGraph reads any supported graph file the way the CLIs do.
+func loadGraph(t *testing.T, path string) *graph.CSR {
+	t.Helper()
+	f, err := gvecsr.LoadAny(path)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	t.Cleanup(func() { f.Close() })
+	g, err := f.Graph()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return g
+}
+
+// TestTextRoundTripIsBitIdentical converts a container to MatrixMarket
+// and back: offsets, targets and weight bits must all survive.
+func TestTextRoundTripIsBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	first := filepath.Join(dir, "a"+gvecsr.Ext)
+	mtx := filepath.Join(dir, "a.mtx")
+	second := filepath.Join(dir, "b"+gvecsr.Ext)
+	runOK(t, "-gen", "social", "-n", "3000", "-seed", "5", "-o", first)
+	runOK(t, "-i", first, "-o", mtx)
+	text, err := os.ReadFile(mtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(text, []byte("%%MatrixMarket")) {
+		t.Fatalf("%s is not MatrixMarket text: %q...", mtx, text[:min(len(text), 16)])
+	}
+	runOK(t, "-i", mtx, "-o", second)
+
+	want, got := loadGraph(t, first), loadGraph(t, second)
+	if len(got.Offsets) != len(want.Offsets) || len(got.Edges) != len(want.Edges) {
+		t.Fatalf("round trip shape |V|=%d m=%d, want |V|=%d m=%d",
+			got.NumVertices(), len(got.Edges), want.NumVertices(), len(want.Edges))
+	}
+	for i := range want.Offsets {
+		if got.Offsets[i] != want.Offsets[i] {
+			t.Fatalf("offset %d: %d, want %d", i, got.Offsets[i], want.Offsets[i])
+		}
+	}
+	for i := range want.Edges {
+		if got.Edges[i] != want.Edges[i] || math.Float32bits(got.Weights[i]) != math.Float32bits(want.Weights[i]) {
+			t.Fatalf("arc %d: (%d, %v), want (%d, %v)", i, got.Edges[i], got.Weights[i], want.Edges[i], want.Weights[i])
+		}
+	}
+}
+
+func TestCorpusWritesLoadableContainers(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "corpus")
+	runOK(t, "-corpus", dir, "-scale", "0.01")
+	paths, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 13 {
+		t.Fatalf("corpus wrote %d files, want 13: %v", len(paths), paths)
+	}
+	for _, p := range paths {
+		if !strings.HasSuffix(p, gvecsr.Ext) {
+			t.Fatalf("corpus file %s is not a container", p)
+		}
+		if err := loadGraph(t, p).Validate(); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
 	}
 }

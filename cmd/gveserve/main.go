@@ -72,8 +72,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("gveserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	c := &config{}
-	fs.StringVar(&c.input, "i", "", "input graph file (.gvecsr, .mtx, .bin, or edge list)")
-	fs.StringVar(&c.genName, "gen", "", "generate input instead: web|social|road|kmer|er|ba|rmat")
+	fs.StringVar(&c.input, "i", "", "input graph file (.gvecsr, .mtx, or edge list)")
+	fs.StringVar(&c.genName, "gen", "", "generate input instead: "+gen.Names)
 	fs.IntVar(&c.n, "n", 100000, "vertices for generated input")
 	fs.Uint64Var(&c.seed, "seed", 1, "generator seed")
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
@@ -226,32 +226,8 @@ func loadOrGenerate(input, genName string, n int, seed uint64) (*graph.CSR, erro
 		}
 		return f.Graph()
 	}
-	switch genName {
-	case "web":
-		g, _ := gen.WebGraph(n, 20, seed)
-		return g, nil
-	case "social":
-		g, _ := gen.SocialNetwork(n, 20, 64, 0.35, seed)
-		return g, nil
-	case "road":
-		g, _ := gen.RoadNetwork(n, seed)
-		return g, nil
-	case "kmer":
-		g, _ := gen.KmerGraph(n, seed)
-		return g, nil
-	case "er":
-		return gen.ErdosRenyi(n, n*8, seed), nil
-	case "ba":
-		return gen.BarabasiAlbert(n, 8, seed), nil
-	case "rmat":
-		scale := 0
-		for 1<<scale < n {
-			scale++
-		}
-		return gen.RMAT(scale, n*8, 0, 0, 0, seed), nil
-	case "":
-		return nil, fmt.Errorf("need -i FILE or -gen NAME (web|social|road|kmer|er|ba|rmat)")
-	default:
-		return nil, fmt.Errorf("unknown generator %q", genName)
+	if genName == "" {
+		return nil, fmt.Errorf("need -i FILE or -gen NAME (%s)", gen.Names)
 	}
+	return gen.Named(genName, n, seed)
 }

@@ -10,8 +10,8 @@
 //	fmt.Println(res.NumCommunities, res.Modularity)
 //
 // Graphs are weighted CSR structures built with NewBuilder or loaded
-// from Matrix Market / edge-list / binary files. Leiden runs the
-// paper's GVE-Leiden algorithm (asynchronous parallel local moving,
+// from gvecsr containers, Matrix Market or edge-list files. Leiden runs
+// the paper's GVE-Leiden algorithm (asynchronous parallel local moving,
 // greedy constrained refinement, prefix-sum CSR aggregation); Louvain
 // runs GVE-Louvain, the same machinery without the refinement phase.
 package gveleiden
@@ -103,7 +103,7 @@ func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 func FromAdjacency(adj [][]uint32) *Graph { return graph.FromAdjacency(adj) }
 
 // LoadGraph loads a graph from a .gvecsr container (memory-mapped; see
-// storage.go and FORMAT.md), or a .mtx, .bin, or edge-list file.
+// storage.go and FORMAT.md), or a .mtx or edge-list file.
 func LoadGraph(path string) (*Graph, error) {
 	f, err := gvecsr.LoadAny(path)
 	if err != nil {

@@ -23,9 +23,9 @@
 //     portable fallback, and the right call when the graph must
 //     outlive the file or be mutated.
 //
-// LoadAny adds magic-sniffing dispatch over the text and legacy-binary
-// loaders of internal/graph, which remain as the conversion import
-// path: cmd/gveconvert turns edge lists and MatrixMarket files into
+// LoadAny adds magic-sniffing dispatch over the text loaders of
+// internal/graph, which remain as the conversion import path:
+// cmd/gveconvert turns edge lists and MatrixMarket files into
 // containers once, and every subsequent run maps them.
 //
 // Writers (WriteFile, WriteFileStream) stream from an existing CSR or

@@ -19,7 +19,7 @@ const (
 	SourceMmap Source = iota
 	// SourceLoad: sections were read into ordinary heap slices.
 	SourceLoad
-	// SourceParse: the graph came from a text/legacy loader via
+	// SourceParse: the graph came from a text loader via
 	// LoadAny; there is no container behind it.
 	SourceParse
 )

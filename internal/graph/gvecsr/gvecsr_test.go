@@ -444,3 +444,31 @@ func TestCompressionShrinksRoadLikeAdjacency(t *testing.T) {
 	}
 	roundTrip(t, g, WriteOptions{GapAdjacency: true})
 }
+
+// TestLoadAnyRejectsLegacyBinDump pins what happens to a stale dump in
+// the removed pre-container format ("GVEC" magic, n, arc count, then
+// raw offsets, edges and weights): it is neither a container nor a
+// parseable edge list, so LoadAny must fail closed with an error.
+func TestLoadAnyRejectsLegacyBinDump(t *testing.T) {
+	dump := []byte{
+		0x43, 0x45, 0x56, 0x47, // magic 0x47564543, little-endian
+		2, 0, 0, 0, // n
+		2, 0, 0, 0, // arcs
+		0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, // offsets 0 1 2
+		1, 0, 0, 0, 0, 0, 0, 0, // edges 1 0
+		0, 0, 0x80, 0x3f, 0, 0, 0x80, 0x3f, // weights 1.0 1.0
+	}
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := os.WriteFile(path, dump, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadAny(path)
+	if err == nil {
+		g, gerr := f.Graph()
+		f.Close()
+		t.Fatalf("legacy .bin dump loaded (graph %v, err %v), want an error", g, gerr)
+	}
+	if f != nil {
+		t.Fatalf("LoadAny returned a file alongside error %v", err)
+	}
+}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,50 +122,6 @@ func TestEdgeListCommentsAndErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := FromAdjacency([][]uint32{{1, 2}, {0, 2}, {0, 1}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, r) {
-		t.Fatal("binary round trip changed the graph")
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("nonsense")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestBinaryCompactsHoley(t *testing.T) {
-	holey := &CSR{
-		Offsets: []uint32{0, 3, 5},
-		Counts:  []uint32{1, 1},
-		Edges:   []uint32{1, 9, 9, 0, 9},
-		Weights: []float32{1, 0, 0, 1, 0},
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, holey); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumArcs() != 2 {
-		t.Fatalf("arcs = %d, want 2 (gaps dropped)", r.NumArcs())
-	}
-}
-
 func TestLoadFileDispatch(t *testing.T) {
 	dir := t.TempDir()
 	g := FromAdjacency([][]uint32{{1}, {0, 2}, {1}})
@@ -182,23 +137,6 @@ func TestLoadFileDispatch(t *testing.T) {
 	f.Close()
 	if _, err := LoadFile(mtx); err != nil {
 		t.Fatalf("mtx load: %v", err)
-	}
-
-	bin := filepath.Join(dir, "g.bin")
-	f, err = os.Create(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(f, g); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got, err := LoadFile(bin)
-	if err != nil {
-		t.Fatalf("bin load: %v", err)
-	}
-	if !graphsEqual(g, got) {
-		t.Fatal("binary LoadFile mismatch")
 	}
 
 	txt := filepath.Join(dir, "g.txt")
@@ -293,18 +231,5 @@ func TestEdgeListRejectsHugeIDs(t *testing.T) {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("edge list %q accepted", in)
 		}
-	}
-}
-
-func TestBinaryRejectsNonFiniteWeights(t *testing.T) {
-	var buf bytes.Buffer
-	g := FromAdjacency([][]uint32{{1}, {0}})
-	g.Weights[0] = float32(math.NaN())
-	g.Weights[1] = float32(math.NaN())
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("NaN weights accepted by ReadBinary")
 	}
 }

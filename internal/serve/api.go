@@ -110,4 +110,7 @@ type RecomputeResponse struct {
 
 type errorResponse struct {
 	Error string `json:"error"`
+	// Version is the snapshot an out-of-range 404 was judged against:
+	// ids are only meaningful within one version.
+	Version uint64 `json:"version,omitempty"`
 }

@@ -31,9 +31,27 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
+// APIError is a non-2xx response. Version is the snapshot version an
+// out-of-range 404 was judged against (0 when the server reports
+// none), so a caller pairing two requests can tell an id a newer
+// snapshot no longer has from a genuine miss.
+type APIError struct {
+	Method, Path string
+	Status       int
+	Message      string // the server's diagnostic; empty if none
+	Version      uint64
+}
+
+func (e *APIError) Error() string {
+	if e.Message != "" {
+		return fmt.Sprintf("serve: %s %s: %s (status %d)", e.Method, e.Path, e.Message, e.Status)
+	}
+	return fmt.Sprintf("serve: %s %s: status %d", e.Method, e.Path, e.Status)
+}
+
 // do issues the request and decodes the JSON response into out,
-// converting non-2xx statuses into errors carrying the server's
-// diagnostic.
+// converting non-2xx statuses into *APIError values carrying the
+// server's diagnostic.
 func (c *Client) do(method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -57,10 +75,10 @@ func (c *Client) do(method, path string, body, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var e errorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("serve: %s %s: %s (status %d)", method, path, e.Error, resp.StatusCode)
+		if json.NewDecoder(resp.Body).Decode(&e) != nil {
+			e = errorResponse{}
 		}
-		return fmt.Errorf("serve: %s %s: status %d", method, path, resp.StatusCode)
+		return &APIError{Method: method, Path: path, Status: resp.StatusCode, Message: e.Error, Version: e.Version}
 	}
 	if out == nil {
 		return nil

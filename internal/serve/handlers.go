@@ -54,6 +54,12 @@ func writeError(w http.ResponseWriter, status int, format string, a ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, a...)})
 }
 
+// writeNotFound reports an id out of range for the snapshot version it
+// was checked against.
+func writeNotFound(w http.ResponseWriter, version uint64, format string, a ...any) {
+	writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf(format, a...), Version: version})
+}
+
 // vertexParam parses the ?v= vertex id, bounds-checked against the
 // snapshot.
 func vertexParam(w http.ResponseWriter, r *http.Request, snap *Snapshot) (uint32, bool) {
@@ -68,7 +74,7 @@ func vertexParam(w http.ResponseWriter, r *http.Request, snap *Snapshot) (uint32
 		return 0, false
 	}
 	if int(id) >= snap.Graph.NumVertices() {
-		writeError(w, http.StatusNotFound, "vertex %d out of range [0,%d)", id, snap.Graph.NumVertices())
+		writeNotFound(w, snap.Version, "vertex %d out of range [0,%d)", id, snap.Graph.NumVertices())
 		return 0, false
 	}
 	return uint32(id), true
@@ -104,7 +110,7 @@ func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
 	}
 	members, ok := snap.Members(uint32(id))
 	if !ok {
-		writeError(w, http.StatusNotFound, "community %d out of range [0,%d)", id, snap.Result.NumCommunities)
+		writeNotFound(w, snap.Version, "community %d out of range [0,%d)", id, snap.Result.NumCommunities)
 		return
 	}
 	out := members

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -173,6 +174,45 @@ func TestServeQueries(t *testing.T) {
 	}
 }
 
+// notFoundInOtherVersion reports whether err is an out-of-range 404
+// judged against a snapshot other than version. A 404 at the same
+// version is a real inconsistency and does not qualify.
+func notFoundInOtherVersion(err error, version uint64) bool {
+	var apiErr *APIError
+	return errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound &&
+		apiErr.Version != 0 && apiErr.Version != version
+}
+
+// TestServeNotFoundCarriesVersion checks that every out-of-range 404
+// names the snapshot version it was judged against, so clients can
+// tell a swap between two requests from a genuine miss.
+func TestServeNotFoundCarriesVersion(t *testing.T) {
+	s, c := startServer(t, testConfig())
+	version := s.Snapshot().Version
+	for name, query := range map[string]func() error{
+		"community": func() error { _, err := c.Community(999999); return err },
+		"members":   func() error { _, err := c.Members(999999, 0); return err },
+		"neighbors": func() error { _, err := c.Neighbors(999999); return err },
+		"hierarchy": func() error { _, err := c.Hierarchy(999999); return err },
+	} {
+		err := query()
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("%s: error %v is not an *APIError", name, err)
+		}
+		if apiErr.Status != http.StatusNotFound || apiErr.Version != version ||
+			!strings.Contains(apiErr.Error(), "out of range") {
+			t.Fatalf("%s: got %+v, want a 404 out of range at version %d", name, apiErr, version)
+		}
+		if notFoundInOtherVersion(err, version) {
+			t.Fatalf("%s: same-version 404 treated as a cross-version miss", name)
+		}
+		if !notFoundInOtherVersion(err, version+1) {
+			t.Fatalf("%s: 404 from version %d not recognised as cross-version", name, version)
+		}
+	}
+}
+
 // TestServeDeltaRecompute ingests a batch and waits for the swapped
 // snapshot: version bumps, the new vertex exists, and the swap was
 // warm-started.
@@ -242,6 +282,9 @@ func TestServeConcurrentQueriesDuringRecompute(t *testing.T) {
 					return
 				}
 				mr, err := c.Members(cr.Community, 0)
+				if notFoundInOtherVersion(err, cr.Version) {
+					continue // a newer snapshot has fewer communities: no cross-version claim
+				}
 				if err != nil {
 					report(err)
 					return

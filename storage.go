@@ -35,7 +35,7 @@ func LoadGraphFile(path string) (*GraphFile, error) { return gvecsr.Load(path) }
 
 // LoadGraphAuto opens any supported dataset: gvecsr containers are
 // memory-mapped (detected by magic, so the extension is advisory);
-// MatrixMarket, legacy binary and edge-list files are parsed.
+// MatrixMarket and edge-list files are parsed.
 func LoadGraphAuto(path string) (*GraphFile, error) { return gvecsr.LoadAny(path) }
 
 // SaveGraphFile writes g as a gvecsr container. Output is
